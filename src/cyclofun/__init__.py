@@ -12,12 +12,10 @@ from .hyperbolic import (HyperbolicFamily, build_family, family_from_json,
                          family_to_json, g_eval, h_eval, laurent_component)
 from .qpsi import (PsiSequence, Polynomial, build_psi_hyperbolic,
                    generalized_translation, jackson_derivative, laguerre_family,
-                   lowering_operator_apply, poly_residual, polynomial_from_json,
-                   polynomial_to_json, psi_derivative, psi_poly_derivative,
-                   psi_sequence_from_json, psi_sequence_to_json,
-                   q_laguerre, q_number, q_poly_derivative, qpsi_checks,
-                   series_exp_psi, verify_generating_function,
-                   verify_psi_binomial)
+                   lowering_operator_apply, psi_derivative,
+                   psi_sequence_from_json, psi_sequence_to_json, q_laguerre,
+                   q_number, qpsi_checks, series_exp_psi,
+                   verify_generating_function, verify_psi_binomial)
 from .reports import IdentityReport, all_pass, reports_to_csv, reports_to_json
 from .series import (DEFAULT_TRUNCATION, PRODUCT_DEGREE_CAP, DomainError,
                      EvalDomain, TruncatedSeries, coeff_close, coeff_residual,
@@ -38,10 +36,9 @@ __all__ = [
     "g_eval", "h_eval", "laurent_component",
     "PsiSequence", "Polynomial", "build_psi_hyperbolic",
     "generalized_translation", "jackson_derivative", "laguerre_family",
-    "lowering_operator_apply", "poly_residual", "polynomial_from_json",
-    "polynomial_to_json", "psi_derivative", "psi_poly_derivative",
+    "lowering_operator_apply", "psi_derivative",
     "psi_sequence_from_json", "psi_sequence_to_json", "q_laguerre", "q_number",
-    "q_poly_derivative", "qpsi_checks", "series_exp_psi",
+    "qpsi_checks", "series_exp_psi",
     "verify_generating_function", "verify_psi_binomial",
     "IdentityReport", "all_pass", "reports_to_csv", "reports_to_json",
     "DEFAULT_TRUNCATION", "PRODUCT_DEGREE_CAP", "DomainError", "EvalDomain",

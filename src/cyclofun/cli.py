@@ -25,8 +25,8 @@ from .hyperbolic import build_family, g_eval, h_eval, laurent_component
 from .qpsi import PsiSequence, build_psi_hyperbolic, qpsi_checks, series_exp_psi
 from .reports import all_pass, reports_to_csv, reports_to_json
 from .series import (DEFAULT_TRUNCATION, DomainError, TruncatedSeries, _ipow,
-                     coeff_close, max_coeff_diff, series_exp, series_from_json,
-                     series_geometric)
+                     _pair, coeff_close, max_coeff_diff, series_exp,
+                     series_from_json, series_geometric, series_to_json)
 
 __all__ = ["main", "main_entry", "parse_complex"]
 
@@ -64,11 +64,6 @@ def _fmt_complex(c: complex) -> str:
     return f"{_fmt(c.real)}{c.imag:+.17g}i"
 
 
-def _pair(c: complex) -> list[float]:
-    c = complex(c)
-    return [c.real, c.imag]
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w", newline="") as fh:
@@ -96,6 +91,7 @@ def _effective_tolerance(args, fallback: float | None = None) -> float | None:
 # -- series sources -----------------------------------------------------------
 
 def _load_series(args) -> tuple[TruncatedSeries, dict]:
+    """The series named by --input or --builtin, with its provenance."""
     if getattr(args, "input", None):
         with open(args.input) as fh:
             obj = json.load(fh)
@@ -140,7 +136,6 @@ def _cmd_decompose(args) -> int:
         return 3
 
     if args.format == "json":
-        from .series import series_to_json
         obj = dict(meta)
         obj.update({
             "n": args.n,
@@ -186,21 +181,14 @@ def _eval_values(args, meta_out: dict) -> dict[str, complex]:
     s = int(args.s) % args.n
     out: dict[str, complex] = {}
 
-    if getattr(args, "input", None):
-        if any(m == "closed" for m in methods):
+    if args.input or args.builtin == "geometric":
+        if args.input and "closed" in methods:
             raise ValueError("closed-form evaluation needs a builtin family")
         series, meta = _load_series(args)
         meta_out.update(meta)
-        comp = laurent_component(series, ctx, a, s)
-        out["series"] = comp.evaluate(args.z)
-        return out
-
-    if args.builtin == "geometric":
-        meta_out["builtin"] = "geometric"
         for m in methods:
             if m == "series":
-                comp = laurent_component(series_geometric(args.trunc), ctx, a, s)
-                out["series"] = comp.evaluate(args.z)
+                out["series"] = laurent_component(series, ctx, a, s).evaluate(args.z)
             else:
                 out["closed"] = g_eval(ctx, a, s, args.z)
         return out
@@ -301,12 +289,7 @@ def _det_components(args, ctx, a) -> list[complex]:
         return vals
     if args.z is None:
         raise ValueError("det needs --components or --builtin with --z")
-    if args.builtin == "geometric":
-        base = series_geometric(args.trunc)
-    elif args.builtin == "expq":
-        base = series_exp_psi(PsiSequence.q_deformation(args.q), args.trunc)
-    else:
-        base = series_exp(args.trunc)
+    base, _ = _load_series(args)
     return [laurent_component(base, ctx, a, k).evaluate(args.z)
             for k in range(ctx.n)]
 
@@ -450,6 +433,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 4
+    except OverflowError as exc:
+        print(f"domain error: numeric overflow ({exc})", file=sys.stderr)
         return 4
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

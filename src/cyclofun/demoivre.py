@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,18 +174,6 @@ def _surface_value(vals: Sequence[complex], alpha: complex) -> complex:
     raise ValueError("surface polynomial only implemented for n = 2, 3")
 
 
-_QUARTIC_NOTE = "quartic_form_value"
-
-
-def _quartic_value(vals: Sequence[complex]) -> complex:
-    # Recorded informationally for n = 4; the trusted check is the LU det.
-    x, y, z, t = vals
-    return (-x ** 4 + y ** 4 - z ** 4 + t ** 4
-            + 4 * x * x * y * t - 4 * x * y * y * z
-            + 4 * z * z * y * t - 4 * t * t * x * z
-            + 2 * x * x * z * z - 2 * y * y * t * t)
-
-
 def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
                    trunc: int = DEFAULT_TRUNCATION) -> list[IdentityReport]:
     """Run the matrix and scalar identity checks at one argument pair.
@@ -218,10 +206,7 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
             f"matrix_power_m{m}", base_params,
             cheb_norm(np.linalg.matrix_power(cz, m) - cm)))
 
-    det_params = dict(base_params)
-    if n == 4:
-        det_params[_QUARTIC_NOTE] = _quartic_value(hz)
-    reports.append(_report("det_unimodular", det_params,
+    reports.append(_report("det_unimodular", base_params,
                            abs(circulant_det_direct(cz) - 1)))
 
     if n in (2, 3):

@@ -15,8 +15,8 @@ from typing import Callable
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
 from .series import (DEFAULT_TRUNCATION, GEOMETRIC_MAX_ABS_ARG, DomainError,
-                     TruncatedSeries, _ipow, series_exp, series_from_json,
-                     series_to_json)
+                     TruncatedSeries, _ipow, _pair, _unpair, series_exp,
+                     series_from_json, series_to_json)
 
 __all__ = [
     "HyperbolicFamily",
@@ -53,10 +53,7 @@ def build_family(n: int, a: AlphaRoot, trunc: int = DEFAULT_TRUNCATION) -> Hyper
         raise ValueError(f"root order {a.n} does not match requested order {n}")
     ctx = make_context(n)
     base = series_exp(trunc)
-    comps = tuple(
-        project_series(base, ctx, s, a).with_label(f"exp[{s} mod {n}]")
-        for s in range(n)
-    )
+    comps = tuple(laurent_component(base, ctx, a, s) for s in range(n))
     return HyperbolicFamily(ctx, a, comps, base=cmath.exp, kind="exp")
 
 
@@ -126,7 +123,7 @@ def laurent_component(s: TruncatedSeries, ctx: CyclicContext, a: AlphaRoot,
 def family_to_json(fam: HyperbolicFamily) -> dict:
     return {
         "n": fam.ctx.n,
-        "alpha": [fam.root.alpha.real, fam.root.alpha.imag],
+        "alpha": _pair(fam.root.alpha),
         "branch": fam.root.branch,
         "kind": fam.kind,
         "components": [series_to_json(c) for c in fam.components],
@@ -143,11 +140,10 @@ def family_from_json(obj: dict) -> HyperbolicFamily:
         raw = obj["components"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("family JSON needs n, alpha, branch, components") from exc
-    if not (isinstance(al, (list, tuple)) and len(al) == 2):
-        raise ValueError("'alpha' must be an [re, im] pair")
+    alpha = _unpair(al, "'alpha'")
     if not isinstance(raw, list) or len(raw) != n:
         raise ValueError("'components' must list exactly n series")
-    a = alpha_root(complex(float(al[0]), float(al[1])), n, branch)
+    a = alpha_root(alpha, n, branch)
     ctx = make_context(n)
     comps = tuple(series_from_json(c) for c in raw)
     kind = obj.get("kind", "exp")

@@ -1,5 +1,8 @@
 """q-deformed and psi-weighted calculus on series and polynomials.
 
+Polynomials are :class:`TruncatedSeries` with min_deg = 0, so the deformed
+derivatives, residuals and JSON codec of the series layer serve both.
+
 A :class:`PsiSequence` supplies the deformed integers n_psi, factorials, and
 binomials that drive the deformed derivative, the deformed exponential, and
 the generalized translation operator.  The q-deformation is the special case
@@ -13,8 +16,8 @@ import math
 import random
 from typing import Callable, Sequence
 
-from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
-from .hyperbolic import HyperbolicFamily, h_eval
+from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context
+from .hyperbolic import HyperbolicFamily, h_eval, laurent_component
 from .reports import IdentityReport
 from .series import (
     DEFAULT_TRUNCATION,
@@ -23,6 +26,9 @@ from .series import (
     TruncatedSeries,
     _checked,
     _ipow,
+    _pair,
+    _termwise_lower,
+    _unpair,
     coeff_residual,
     make_series,
     series_exp,
@@ -38,11 +44,6 @@ __all__ = [
     "series_exp_psi",
     "build_psi_hyperbolic",
     "Polynomial",
-    "polynomial_to_json",
-    "polynomial_from_json",
-    "poly_residual",
-    "q_poly_derivative",
-    "psi_poly_derivative",
     "q_laguerre",
     "laguerre_family",
     "lowering_operator_apply",
@@ -197,12 +198,11 @@ class PsiSequence:
 
 def psi_sequence_to_json(ps: PsiSequence) -> dict:
     if ps.kind == "q":
-        qc = complex(ps.q)
-        return {"kind": "q", "q": [qc.real, qc.imag], "cap": ps.cap}
+        return {"kind": "q", "q": _pair(ps.q), "cap": ps.cap}
     if ps.kind == "classical":
         return {"kind": "classical", "cap": ps.cap}
-    weights = [complex(ps.psi_weight(n)) for n in range(ps.cap + 1)]
-    return {"kind": "explicit", "weights": [[w.real, w.imag] for w in weights]}
+    return {"kind": "explicit",
+            "weights": [_pair(ps.psi_weight(n)) for n in range(ps.cap + 1)]}
 
 
 def psi_sequence_from_json(obj: dict) -> PsiSequence:
@@ -210,10 +210,7 @@ def psi_sequence_from_json(obj: dict) -> PsiSequence:
         raise ValueError("sequence JSON must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "q":
-        qpair = obj.get("q")
-        if not (isinstance(qpair, (list, tuple)) and len(qpair) == 2):
-            raise ValueError("'q' must be a [re, im] pair")
-        return PsiSequence.q_deformation(complex(float(qpair[0]), float(qpair[1])),
+        return PsiSequence.q_deformation(_unpair(obj.get("q"), "'q'"),
                                          cap=int(obj.get("cap", PSI_CAP)))
     if kind == "classical":
         return PsiSequence.classical(cap=int(obj.get("cap", PSI_CAP)))
@@ -221,25 +218,11 @@ def psi_sequence_from_json(obj: dict) -> PsiSequence:
         raw = obj.get("weights")
         if not isinstance(raw, list) or not raw:
             raise ValueError("'weights' must be a nonempty list")
-        weights = []
-        for entry in raw:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ValueError(f"bad weight entry {entry!r}")
-            weights.append(complex(float(entry[0]), float(entry[1])))
-        return PsiSequence.from_weights(weights)
+        return PsiSequence.from_weights([_unpair(w, "a weight") for w in raw])
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
 # -- deformed derivatives -------------------------------------------------------
-
-def _termwise_lower(s: TruncatedSeries, numfn: Callable[[int], complex]) -> TruncatedSeries:
-    support = [d for d in s.degrees() if d != 0]
-    if not support:
-        return TruncatedSeries(0, (0j,), label=s.label, domain=s.domain)
-    lo, hi = min(support) - 1, max(support) - 1
-    coeffs = tuple(numfn(d + 1) * s.coeff(d + 1) for d in range(lo, hi + 1))
-    return TruncatedSeries(lo, coeffs, label=s.label, domain=s.domain)
-
 
 def jackson_derivative(s: TruncatedSeries, q) -> TruncatedSeries:
     """Termwise (f(qz) - f(z)) / ((q-1) z): degree d maps to [d]_q a_d z**(d-1).
@@ -287,115 +270,27 @@ def build_psi_hyperbolic(ps: PsiSequence, ctx: CyclicContext, a: AlphaRoot,
                          trunc: int = DEFAULT_TRUNCATION) -> HyperbolicFamily:
     """Sieve the deformed exponential into its cyclic components."""
     base = series_exp_psi(ps, trunc)
-    comps = tuple(
-        project_series(base, ctx, s, a).with_label(f"exp_psi[{s} mod {ctx.n}]")
-        for s in range(ctx.n))
+    comps = tuple(laurent_component(base, ctx, a, s) for s in range(ctx.n))
     return HyperbolicFamily(ctx, a, comps, base.evaluate, "psi")
 
 
 # -- polynomials ----------------------------------------------------------------
 
-class Polynomial:
-    """Dense polynomial with ascending complex coefficients.
+def Polynomial(coeffs: Sequence[complex]) -> TruncatedSeries:
+    """Dense polynomial with ascending coefficients, as a power series.
 
-    Trailing zeros are trimmed; the zero polynomial keeps a single 0 entry.
+    Trailing zeros are trimmed here, once; the zero polynomial keeps a single
+    0 entry.  A polynomial is entire, so its evaluation domain is unbounded.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[complex]):
-        cs = [_checked(c, "coefficient") for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [0j]
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0j,)
-
-    def evaluate(self, x: complex) -> complex:
-        x = complex(x)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (size - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Polynomial(a)
-
-    def __mul__(self, scalar) -> "Polynomial":
-        if not isinstance(scalar, (int, float, complex)):
-            return NotImplemented
-        return Polynomial([c * scalar for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __repr__(self) -> str:
-        return f"Polynomial(degree={self.degree})"
-
-
-def polynomial_to_json(p: Polynomial) -> dict:
-    return {"coeffs": [[c.real, c.imag] for c in p.coeffs]}
-
-
-def polynomial_from_json(obj: dict) -> Polynomial:
-    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
-        raise ValueError("polynomial JSON needs a 'coeffs' list")
-    out = []
-    for entry in obj["coeffs"]:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise ValueError(f"bad coefficient entry {entry!r}")
-        out.append(complex(float(entry[0]), float(entry[1])))
-    return Polynomial(out)
-
-
-def poly_residual(p: Polynomial, r: Polynomial) -> float:
-    """Max normalized coefficient gap between two polynomials."""
-    size = max(len(p.coeffs), len(r.coeffs))
-    worst = 0.0
-    for i in range(size):
-        a = p.coeffs[i] if i < len(p.coeffs) else 0j
-        b = r.coeffs[i] if i < len(r.coeffs) else 0j
-        gap = abs(a - b) / max(1.0, abs(a), abs(b))
-        if gap > worst:
-            worst = gap
-    return worst
-
-
-def q_poly_derivative(p: Polynomial, q) -> Polynomial:
-    if p.degree == 0:
-        return Polynomial([0])
-    return Polynomial([q_number(q, k) * p.coeffs[k] for k in range(1, len(p.coeffs))])
-
-
-def psi_poly_derivative(p: Polynomial, ps: PsiSequence) -> Polynomial:
-    if p.degree == 0:
-        return Polynomial([0])
-    return Polynomial([ps.number(k) * p.coeffs[k] for k in range(1, len(p.coeffs))])
+    cs = list(coeffs)
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return TruncatedSeries(0, cs or [0j], domain=EvalDomain(math.inf))
 
 
 # -- Laguerre-type basic sequence -------------------------------------------------
 
-def q_laguerre(n: int, q) -> Polynomial:
+def q_laguerre(n: int, q) -> TruncatedSeries:
     """Basic sequence of the lowering operator -(D_q + D_q**2 + ...).
 
     L_0 = 1, L_1 = -x, and in general the x**k coefficient is
@@ -416,51 +311,53 @@ def q_laguerre(n: int, q) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def laguerre_family(nmax: int, q) -> list[Polynomial]:
+def laguerre_family(nmax: int, q) -> list[TruncatedSeries]:
     return [q_laguerre(n, q) for n in range(nmax + 1)]
 
 
-def lowering_operator_apply(p: Polynomial, q, terms: int | None = None) -> Polynomial:
+def lowering_operator_apply(p: TruncatedSeries, q, terms: int | None = None,
+                            ) -> TruncatedSeries:
     """Apply -(D_q + D_q**2 + ...) to a polynomial.
 
     The series is finite on polynomials; terms can cap it explicitly.
     """
     total = Polynomial([0])
-    cur = q_poly_derivative(p, q)
+    cur = jackson_derivative(p, q)
     count = 1
-    while not cur.is_zero() and (terms is None or count <= terms):
+    while any(cur.coeffs) and (terms is None or count <= terms):
         total = total + cur
-        cur = q_poly_derivative(cur, q)
+        cur = jackson_derivative(cur, q)
         count += 1
     return -total
 
 
 # -- generalized translation -------------------------------------------------------
 
-def generalized_translation(p: Polynomial, y: complex, ps: PsiSequence,
-                            operator: Callable[[Polynomial], Polynomial] | None = None,
-                            ) -> Polynomial:
+def generalized_translation(p: TruncatedSeries, y: complex, ps: PsiSequence,
+                            operator: Callable[[TruncatedSeries], TruncatedSeries]
+                            | None = None) -> TruncatedSeries:
     """E(y Q) p = sum_m psi_m y**m Q**m p, the deformed shift by y.
 
     Q defaults to the psi-derivative; passing another delta operator (for
     example the Laguerre lowering operator) translates along its own basic
     sequence instead.
     """
-    op = operator if operator is not None else (lambda g: psi_poly_derivative(g, ps))
+    op = operator if operator is not None else (lambda g: psi_derivative(g, ps))
     y = complex(y)
     total = Polynomial([0])
     cur = p
-    for m in range(p.degree + 1):
+    for m in range(p.max_deg + 1):
         total = total + cur * (ps.psi_weight(m) * _ipow(y, m))
         cur = op(cur)
-        if cur.is_zero():
+        if not any(cur.coeffs):
             break
     return total
 
 
-def verify_psi_binomial(family: Sequence[Polynomial], ps: PsiSequence,
+def verify_psi_binomial(family: Sequence[TruncatedSeries], ps: PsiSequence,
                         x: complex, y: complex,
-                        operator: Callable[[Polynomial], Polynomial] | None = None,
+                        operator: Callable[[TruncatedSeries], TruncatedSeries]
+                        | None = None,
                         tolerance: float = 1e-11,
                         name: str = "binomial_convolution",
                         rhs_basis: str = "family",
@@ -600,7 +497,7 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
     for n in range(1, 6):
         got = lowering_operator_apply(fam_l[n], qv)
         want = fam_l[n - 1] * q_number(qv, n)
-        worst = max(worst, poly_residual(got, want))
+        worst = max(worst, coeff_residual(got, want))
     reports.append(IdentityReport(
         "laguerre_lowering", {"q": complex(qv), "degree_max": 5}, worst, 1e-10))
 
@@ -633,6 +530,6 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
     expected = Polynomial([math.comb(5, k) * 0.7 ** (5 - k) for k in range(6)])
     reports.append(IdentityReport(
         "translation_classical", {"kind": "classical", "degree": 5, "y": 0.7},
-        poly_residual(shifted, expected), 1e-12))
+        coeff_residual(shifted, expected), 1e-12))
 
     return reports

@@ -7,13 +7,15 @@ import io
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .series import _pair
+
 __all__ = ["IdentityReport", "all_pass", "reports_to_json", "reports_to_csv"]
 
 
 def _plain(value):
     """Rewrite params into JSON-friendly primitives (complex -> [re, im])."""
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return _pair(value)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):

@@ -7,9 +7,10 @@ operations return new values, so series can be shared freely across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "DomainError",
@@ -52,6 +53,11 @@ def _checked(value, what: str) -> complex:
     return v
 
 
+def _narrower(a: EvalDomain, b: EvalDomain) -> EvalDomain:
+    """The domain of a sum or product: the smaller of the two disks."""
+    return a if a.max_abs_arg <= b.max_abs_arg else b
+
+
 def _ipow(base: complex, exponent: int) -> complex:
     """base ** exponent for integer exponents, with 0 ** 0 == 1."""
     if exponent == 0:
@@ -70,9 +76,12 @@ class TruncatedSeries:
 
     def __init__(self, min_deg: int, coeffs: Sequence[complex], label: str | None = None,
                  domain: EvalDomain | None = None):
-        cs = tuple(_checked(c, "coefficient") for c in coeffs)
+        cs = tuple(map(complex, coeffs))
         if not cs:
             raise ValueError("a series needs at least one coefficient")
+        if not all(map(cmath.isfinite, cs)):
+            bad = next(c for c in cs if not cmath.isfinite(c))
+            raise ValueError(f"coefficient must be finite, got {bad!r}")
         self.min_deg = int(min_deg)
         self.max_deg = self.min_deg + len(cs) - 1
         self.coeffs = cs
@@ -114,14 +123,14 @@ class TruncatedSeries:
         if self.max_deg >= 0:
             lo = max(self.min_deg, 0)
             acc = 0j
-            for d in range(self.max_deg, lo - 1, -1):
-                acc = acc * z + self.coeff(d)
+            for c in reversed(self.coeffs[lo - self.min_deg:]):
+                acc = acc * z + c
             total += acc * _ipow(z, lo)
         if self.min_deg < 0:
             u = 1 / z
             acc = 0j
-            for d in range(self.min_deg, min(self.max_deg, -1) + 1):
-                acc = (acc + self.coeff(d)) * u
+            for c in self.coeffs[:-self.min_deg]:
+                acc = (acc + c) * u
             total += acc
         return total
 
@@ -141,18 +150,10 @@ class TruncatedSeries:
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise d/dz; the degree-0 term dies, all others shift down."""
-        support = [d for d in self.degrees() if d != 0]
-        if not support:
-            return TruncatedSeries(0, (0j,), label=self.label, domain=self.domain)
-        lo, hi = min(support) - 1, max(support) - 1
-        coeffs = tuple(complex(d + 1) * self.coeff(d + 1) for d in range(lo, hi + 1))
-        return TruncatedSeries(lo, coeffs, label=self.label, domain=self.domain)
+        return _termwise_lower(self, complex)
 
     def with_label(self, label: str | None) -> "TruncatedSeries":
         return TruncatedSeries(self.min_deg, self.coeffs, label=label, domain=self.domain)
-
-    def with_domain(self, domain: EvalDomain) -> "TruncatedSeries":
-        return TruncatedSeries(self.min_deg, self.coeffs, label=self.label, domain=domain)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -169,14 +170,15 @@ class TruncatedSeries:
             return NotImplemented
         lo = min(self.min_deg, o.min_deg)
         hi = max(self.max_deg, o.max_deg)
-        coeffs = tuple(self.coeff(d) + o.coeff(d) for d in range(lo, hi + 1))
-        dom = EvalDomain(min(self.domain.max_abs_arg, o.domain.max_abs_arg))
-        return TruncatedSeries(lo, coeffs, domain=dom)
+        a = (0j,) * (self.min_deg - lo) + self.coeffs + (0j,) * (hi - self.max_deg)
+        b = (0j,) * (o.min_deg - lo) + o.coeffs + (0j,) * (hi - o.max_deg)
+        return TruncatedSeries(lo, [x + y for x, y in zip(a, b)],
+                               domain=_narrower(self.domain, o.domain))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.min_deg, tuple(-c for c in self.coeffs),
+        return TruncatedSeries(self.min_deg, [-c for c in self.coeffs],
                                label=self.label, domain=self.domain)
 
     def __sub__(self, other) -> "TruncatedSeries":
@@ -194,7 +196,7 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, float, complex)):
             w = _checked(other, "scalar")
-            return TruncatedSeries(self.min_deg, tuple(c * w for c in self.coeffs),
+            return TruncatedSeries(self.min_deg, [c * w for c in self.coeffs],
                                    label=self.label, domain=self.domain)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -211,10 +213,25 @@ class TruncatedSeries:
                 if d > hi:
                     break
                 out[d - lo] += a * b
-        dom = EvalDomain(min(self.domain.max_abs_arg, other.domain.max_abs_arg))
-        return TruncatedSeries(lo, tuple(out), domain=dom)
+        return TruncatedSeries(lo, out, domain=_narrower(self.domain, other.domain))
 
     __rmul__ = __mul__
+
+
+def _termwise_lower(s: TruncatedSeries, number: Callable[[int], complex]) -> TruncatedSeries:
+    """Lower every degree: a_d z**d -> number(d) a_d z**(d-1).
+
+    The degree-0 term dies; a window holding only degree 0 lowers to zero.
+    The ordinary, Jackson and psi derivatives differ only in number.
+    """
+    # Degree 0 drops out of the support only where it ends the window.
+    first = 1 if s.min_deg == 0 else s.min_deg
+    last = -1 if s.max_deg == 0 else s.max_deg
+    if first > last:
+        return TruncatedSeries(0, (0j,), label=s.label, domain=s.domain)
+    kept = s.coeffs[first - s.min_deg:last - s.min_deg + 1]
+    coeffs = [number(d) * c for d, c in zip(range(first, last + 1), kept)]
+    return TruncatedSeries(first - 1, coeffs, label=s.label, domain=s.domain)
 
 
 # -- constructors -------------------------------------------------------------
@@ -262,10 +279,28 @@ def series_geometric(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
 
 # -- serialization ------------------------------------------------------------
 
+def _pair(c: complex) -> list[float]:
+    """The JSON form of a complex number: an [re, im] pair."""
+    c = complex(c)
+    return [c.real, c.imag]
+
+
+def _unpair(entry, what: str) -> complex:
+    """Parse an [re, im] pair of JSON numbers; anything else is a ValueError."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in entry)):
+        raise ValueError(f"{what} must be an [re, im] pair of numbers, got {entry!r}")
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a double") from None
+
+
 def series_to_json(s: TruncatedSeries) -> dict:
     obj: dict = {
         "min_deg": s.min_deg,
-        "coeffs": [[c.real, c.imag] for c in s.coeffs],
+        "coeffs": [_pair(c) for c in s.coeffs],
     }
     if s.label is not None:
         obj["label"] = s.label
@@ -280,15 +315,11 @@ def series_from_json(obj: dict) -> TruncatedSeries:
         raw = obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError("series JSON needs 'min_deg' and 'coeffs'") from exc
-    if not isinstance(min_deg, int):
+    if isinstance(min_deg, bool) or not isinstance(min_deg, int):
         raise ValueError("'min_deg' must be an integer")
     if not isinstance(raw, list) or not raw:
         raise ValueError("'coeffs' must be a nonempty list of [re, im] pairs")
-    coeffs = []
-    for entry in raw:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise ValueError(f"bad coefficient entry {entry!r}")
-        coeffs.append(complex(float(entry[0]), float(entry[1])))
+    coeffs = [_unpair(entry, "a coefficient") for entry in raw]
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("'label' must be a string")

@@ -27,7 +27,6 @@ from cyclofun.qpsi import (
     jackson_derivative,
     laguerre_family,
     lowering_operator_apply,
-    poly_residual,
     q_number,
     verify_generating_function,
 )
@@ -222,7 +221,7 @@ def test_criterion_6_deformed_calculus():
             for n in range(1, 6):
                 got = lowering_operator_apply(fam_l[n], q)
                 want = fam_l[n - 1] * q_number(q, n)
-                assert poly_residual(got, want) <= 1e-10
+                assert coeff_residual(got, want) <= 1e-10
 
         near = PsiSequence.q_deformation(1 + 1e-8, cap=40)
         plain = PsiSequence.classical(cap=40)

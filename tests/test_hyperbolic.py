@@ -202,6 +202,10 @@ def test_family_json_rejects_garbage():
     blob["components"] = blob["components"][:1]
     with pytest.raises(ValueError):
         family_from_json(blob)
+    blob = family_to_json(build_family(2, alpha_root(1, 2), 4))
+    blob["alpha"] = [None, 0]
+    with pytest.raises(ValueError):
+        family_from_json(blob)
 
 
 def test_family_cache_returns_same_object():

@@ -16,16 +16,11 @@ from cyclofun.qpsi import (
     jackson_derivative,
     laguerre_family,
     lowering_operator_apply,
-    poly_residual,
-    polynomial_from_json,
-    polynomial_to_json,
     psi_derivative,
-    psi_poly_derivative,
     psi_sequence_from_json,
     psi_sequence_to_json,
     q_laguerre,
     q_number,
-    q_poly_derivative,
     qpsi_checks,
     series_exp_psi,
     verify_generating_function,
@@ -33,10 +28,13 @@ from cyclofun.qpsi import (
 )
 from cyclofun.reports import all_pass
 from cyclofun.series import (
+    TruncatedSeries,
     coeff_residual,
     make_series,
     max_coeff_diff,
     series_exp,
+    series_from_json,
+    series_to_json,
 )
 
 
@@ -225,20 +223,20 @@ def test_lowering_property():
         for n in range(1, 6):
             got = lowering_operator_apply(fam[n], q)
             want = fam[n - 1] * q_number(q, n)
-            assert poly_residual(got, want) <= 1e-10
+            assert coeff_residual(got, want) <= 1e-10
 
 
 def test_laguerre_continuous_at_unit_deformation():
     for n in range(1, 5):
         a = q_laguerre(n, 1 + 1e-8)
         b = q_laguerre(n, 1)
-        assert poly_residual(a, b) <= 1e-6
+        assert coeff_residual(a, b) <= 1e-6
 
 
 def test_translation_of_monomials_classical():
     cls = PsiSequence.classical()
     t = generalized_translation(Polynomial([0, 0, 0, 1]), 2.0, cls)
-    assert poly_residual(t, Polynomial([8, 12, 6, 1])) <= 1e-15
+    assert coeff_residual(t, Polynomial([8, 12, 6, 1])) <= 1e-15
 
 
 def test_translation_of_square_q_case():
@@ -247,7 +245,7 @@ def test_translation_of_square_q_case():
     y = 0.9
     t = generalized_translation(Polynomial([0, 0, 1]), y, ps)
     want = Polynomial([y ** 2, q_number(q, 2) * y, 1])
-    assert poly_residual(t, want) <= 1e-15
+    assert coeff_residual(t, want) <= 1e-15
 
 
 def test_binomial_convolution_for_powers():
@@ -335,8 +333,8 @@ def test_deformed_component_ladder():
 
 
 def test_poly_derivative_basics():
-    assert q_poly_derivative(Polynomial([5]), 0.5).is_zero()
-    d = psi_poly_derivative(Polynomial([0, 0, 0, 1]), PsiSequence.classical())
+    assert not any(jackson_derivative(Polynomial([5]), 0.5).coeffs)
+    d = psi_derivative(Polynomial([0, 0, 0, 1]), PsiSequence.classical())
     assert d.coeffs == (0j, 0j, 3 + 0j)
 
 
@@ -356,26 +354,33 @@ def test_sequence_json_round_trip():
 
     with pytest.raises(ValueError):
         psi_sequence_from_json({"kind": "mystery"})
+    with pytest.raises(ValueError):
+        psi_sequence_from_json({"kind": "q", "q": [None, 0]})
+    with pytest.raises(ValueError):
+        psi_sequence_from_json({"kind": "explicit", "weights": [[1, 0], ["0.5", 0]]})
 
 
 def test_polynomial_json_round_trip():
     p = Polynomial([1, -2j, 0, 3.5])
-    back = polynomial_from_json(polynomial_to_json(p))
-    assert back.coeffs == p.coeffs
+    back = series_from_json(series_to_json(p))
+    assert back.min_deg == 0 and back.coeffs == p.coeffs
     with pytest.raises(ValueError):
-        polynomial_from_json({"coeffs": "nope"})
+        series_from_json({"min_deg": 0, "coeffs": "nope"})
 
 
 def test_polynomial_basics():
     p = Polynomial([1, 2, 0, 0])
+    assert isinstance(p, TruncatedSeries) and p.min_deg == 0
     assert p.coeffs == (1 + 0j, 2 + 0j)
-    assert p.degree == 1
+    assert p.max_deg == 1
     assert p.evaluate(3) == 7
-    assert Polynomial([0]).is_zero() and not p.is_zero()
+    assert not any(Polynomial([0]).coeffs) and any(p.coeffs)
     s = p + Polynomial([0, -2])
-    assert s.coeffs == (1 + 0j,)
+    assert max_coeff_diff(s, Polynomial([1])) == 0.0
     assert (2 * p).coeffs == (2 + 0j, 4 + 0j)
-    assert (p - p).is_zero()
+    assert not any((p - p).coeffs)
+    assert Polynomial([]).coeffs == (0j,)
+    assert p.evaluate(1e6) == 1 + 2e6   # entire: no evaluation bound
 
 
 def test_qpsi_battery_passes():

@@ -200,6 +200,13 @@ def test_series_json_rejects_garbage():
         series_from_json([1, 2])
     with pytest.raises(ValueError):
         series_from_json({"min_deg": 0, "coeffs": [[1, 0]], "label": 7})
+    with pytest.raises(ValueError):
+        series_from_json({"min_deg": True, "coeffs": [[1, 0], [2, 0]]})
+    for entry in ([None, 0], ["1", 0], [1, True], [[1], 0], {"re": 1, "im": 0}):
+        with pytest.raises(ValueError):
+            series_from_json({"min_deg": 0, "coeffs": [[1, 0], entry]})
+    with pytest.raises(ValueError, match="too large"):
+        series_from_json({"min_deg": 0, "coeffs": [[10 ** 400, 0]]})
 
 
 finite_coeffs = st.lists(
