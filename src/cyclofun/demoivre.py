@@ -15,11 +15,12 @@ import random
 from typing import Sequence
 
 import numpy as np
+from numpy.fft import ifft
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
 from .hyperbolic import HyperbolicFamily, build_family, h_eval
 from .reports import IdentityReport
-from .series import DEFAULT_TRUNCATION, TruncatedSeries, _ipow, series_exp, series_geometric
+from .series import DEFAULT_TRUNCATION, TruncatedSeries, series_exp, series_geometric
 
 __all__ = [
     "generator_matrix",
@@ -54,9 +55,7 @@ def generator_matrix(n: int, alpha: complex) -> np.ndarray:
     n = int(n)
     if n < 2:
         raise ValueError(f"order must be at least 2, got {n}")
-    g = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        g[i, i + 1] = 1
+    g = np.eye(n, k=1, dtype=complex)
     g[n - 1, 0] = complex(alpha)
     return g
 
@@ -64,16 +63,13 @@ def generator_matrix(n: int, alpha: complex) -> np.ndarray:
 def circulant_from_components(components: Sequence[complex], alpha: complex) -> np.ndarray:
     """Twisted circulant: entry (i, j) is component (j-i) mod n, times alpha
     whenever the index wraps (j < i)."""
-    vals = [complex(c) for c in components]
+    vals = np.array([complex(c) for c in components])
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two components")
-    alpha = complex(alpha)
-    m = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            v = vals[(j - i) % n]
-            m[i, j] = v * alpha if j < i else v
+    offset = np.arange(n) - np.arange(n)[:, None]
+    m = vals[offset % n]
+    m[offset < 0] *= complex(alpha)
     return m
 
 
@@ -83,18 +79,20 @@ def circulant_det_spectral(components: Sequence[complex], ctx: CyclicContext,
 
     Eigenvalue l is sum_k c_k (r omega**l)**k with r the chosen root of
     alpha, so the product runs over all n-th roots of alpha and the result
-    does not depend on the branch.
+    does not depend on the branch.  The n eigenvalues are one inverse FFT
+    of c_k r**k.
     """
-    vals = [complex(c) for c in components]
+    vals = np.array([complex(c) for c in components])
     n = ctx.n
     if len(vals) != n:
         raise ValueError(f"expected {n} components, got {len(vals)}")
     if a.n != n:
         raise ValueError(f"root order {a.n} does not match context order {n}")
-    rpow = [_ipow(a.root, k) for k in range(n)]
+    with np.errstate(all="ignore"):
+        eigenvalues = ifft(vals * np.power(a.root, np.arange(n)), norm="forward")
     det = 1 + 0j
-    for l in range(n):
-        det *= sum(vals[k] * rpow[k] * ctx.omega_pow[(k * l) % n] for k in range(n))
+    for lam in eigenvalues.tolist():
+        det *= lam
     return det
 
 
@@ -110,12 +108,8 @@ def sylvester_matrix(ctx: CyclicContext) -> np.ndarray:
     diagonal with the n-th roots of unity on the diagonal.
     """
     n = ctx.n
-    s = np.empty((n, n), dtype=complex)
-    scale = 1 / math.sqrt(n)
-    for k in range(n):
-        for l in range(n):
-            s[k, l] = ctx.omega_pow[(k * l) % n] * scale
-    return s
+    k = np.arange(n)
+    return np.array(ctx.omega_pow)[np.outer(k, k) % n] * (1 / math.sqrt(n))
 
 
 def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled",
@@ -215,10 +209,16 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
 
     if a.alpha == 1:
         ev = lambda s, v: h_eval(fam, s, v, "closed")
+        # h_l(z) h_0(w) = mean over k of h_l(z + omega**k w), for every l.  The
+        # calls go point by point so each point's components come from one
+        # closed-form vector; h_0(w) is asked once per l.
+        at_z = [ev(l, z) for l in range(n)]
+        at_w = [ev(0, w) for _ in range(n)]
+        rotated = [[ev(l, z + ctx.omega_pow[k] * w) for l in range(n)] for k in range(n)]
         worst = 0.0
-        for l in range(n):
-            lhs = ev(l, z) * ev(0, w)
-            rhs = sum(ev(l, z + ctx.omega_pow[k] * w) for k in range(n)) / n
+        for lhs_z, lhs_w, column in zip(at_z, at_w, zip(*rotated)):
+            lhs = lhs_z * lhs_w
+            rhs = sum(column) / n
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
         reports.append(_report("product_mean_rotation", base_params, worst))
 

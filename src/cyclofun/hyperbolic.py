@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+from numpy.fft import fft
+
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
 from .series import (DEFAULT_TRUNCATION, GEOMETRIC_MAX_ABS_ARG, DomainError,
-                     TruncatedSeries, _ipow, _pair, _unpair, series_exp,
+                     TruncatedSeries, _ipow, _json_int, _pair, _unpair, series_exp,
                      series_from_json, series_to_json)
 
 __all__ = [
@@ -33,9 +36,11 @@ __all__ = [
 class HyperbolicFamily:
     """The n component series plus the data needed for closed-form evaluation.
 
-    base is the scalar function whose sieve the components are (the library
-    exponential for the classical family); it feeds the closed-form path and
-    is None when only series evaluation is available.
+    base is the scalar function whose sieve the components are; it feeds the
+    closed-form path and is None when only series evaluation is available.
+    A numpy ufunc (np.exp for the classical family) is applied to all n
+    rotated arguments in one call, any other callable (a series' evaluate,
+    cmath.exp) to one argument at a time.
     """
 
     ctx: CyclicContext
@@ -43,6 +48,24 @@ class HyperbolicFamily:
     components: tuple[TruncatedSeries, ...]
     base: Callable[[complex], complex] | None = field(default=None, compare=False)
     kind: str = "exp"
+    # Closed-form kernel, None when alpha = 0 or there is no base function:
+    # the rotated roots omega**k r, the weights r**-s / n, and the last point's
+    # component vector as one (z, values) tuple, read and replaced whole so a
+    # shared family never pairs a point with another point's values.
+    _rotated: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.root.alpha == 0 or self.base is None:
+            return
+        n, r = self.ctx.n, self.root.root
+        # Weights past double range (|alpha| near the underflow limit) turn
+        # into a closed-form OverflowError when used.
+        with np.errstate(all="ignore"):
+            weights = np.power(r, -np.arange(n)) / n
+        object.__setattr__(self, "_rotated", np.array(self.ctx.omega_pow) * r)
+        object.__setattr__(self, "_weights", weights)
 
 
 @lru_cache(maxsize=128)
@@ -54,7 +77,7 @@ def build_family(n: int, a: AlphaRoot, trunc: int = DEFAULT_TRUNCATION) -> Hyper
     ctx = make_context(n)
     base = series_exp(trunc)
     comps = tuple(laurent_component(base, ctx, a, s) for s in range(n))
-    return HyperbolicFamily(ctx, a, comps, base=cmath.exp, kind="exp")
+    return HyperbolicFamily(ctx, a, comps, base=np.exp, kind="exp")
 
 
 def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") -> complex:
@@ -62,29 +85,43 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
 
     method "series" runs Horner on the stored window; "closed" averages the
     base function over root-of-unity rotations of the scaled argument, which
-    needs alpha != 0 and an attached base function.
+    needs alpha != 0 and an attached base function.  The closed route makes
+    all n components at once and keeps them for the next call at the same z.
     """
-    n = fam.ctx.n
-    s = int(s) % n
+    s = int(s) % fam.ctx.n
     z = complex(z)
     comp = fam.components[s]
     if method == "series":
         return comp.evaluate(z)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
-    if fam.root.alpha == 0:
-        raise ValueError("closed form needs alpha != 0; use the series method")
-    if fam.base is None:
+    if fam._rotated is None:
+        if fam.root.alpha == 0:
+            raise ValueError("closed form needs alpha != 0; use the series method")
         raise ValueError("this family carries no base function for the closed form")
-    if abs(z) > comp.domain.max_abs_arg:
+    bound = comp.domain.max_abs_arg
+    if abs(z) > bound:
         raise DomainError(
-            f"|z| = {abs(z):.6g} exceeds the evaluation bound "
-            f"{comp.domain.max_abs_arg:.6g}")
-    ctx, r = fam.ctx, fam.root.root
-    acc = 0j
-    for k in range(n):
-        acc += ctx.omega_pow[(-k * s) % n] * fam.base(ctx.omega_pow[k] * r * z)
-    return acc / n * _ipow(r, -s)
+            f"|z| = {abs(z):.6g} exceeds the evaluation bound {bound:.6g}")
+    memo = fam._memo
+    if memo is None or memo[0] != z:
+        memo = (z, _closed_components(fam, z))
+        object.__setattr__(fam, "_memo", memo)
+    return memo[1][s]
+
+
+def _closed_components(fam: HyperbolicFamily, z: complex) -> list[complex]:
+    """h_s(z) = r**-s fft([f(omega**k r z)]_k)[s] / n for every s at once."""
+    args = fam._rotated * z
+    with np.errstate(all="ignore"):
+        if isinstance(fam.base, np.ufunc):
+            f = fam.base(args)
+        else:
+            f = np.array([fam.base(v) for v in args.tolist()], dtype=complex)
+        vals = (fft(f) * fam._weights).tolist()
+    if not all(map(cmath.isfinite, vals)):
+        raise OverflowError(f"closed form overflows at z = {z}")
+    return vals
 
 
 def g_eval(ctx: CyclicContext, a: AlphaRoot, l: int, z: complex) -> complex:
@@ -134,12 +171,14 @@ def family_from_json(obj: dict) -> HyperbolicFamily:
     if not isinstance(obj, dict):
         raise ValueError("family JSON must be an object")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         al = obj["alpha"]
-        branch = int(obj["branch"])
+        branch = obj["branch"]
         raw = obj["components"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError("family JSON needs n, alpha, branch, components") from exc
+    n = _json_int(n, "'n'")
+    branch = _json_int(branch, "'branch'")
     alpha = _unpair(al, "'alpha'")
     if not isinstance(raw, list) or len(raw) != n:
         raise ValueError("'components' must list exactly n series")
@@ -147,5 +186,5 @@ def family_from_json(obj: dict) -> HyperbolicFamily:
     ctx = make_context(n)
     comps = tuple(series_from_json(c) for c in raw)
     kind = obj.get("kind", "exp")
-    base = cmath.exp if kind == "exp" else None
+    base = np.exp if kind == "exp" else None
     return HyperbolicFamily(ctx, a, comps, base=base, kind=kind)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context
@@ -26,6 +27,7 @@ from .series import (
     TruncatedSeries,
     _checked,
     _ipow,
+    _json_int,
     _pair,
     _termwise_lower,
     _unpair,
@@ -68,12 +70,41 @@ def q_number(q, k: int):
     k = int(k)
     if k < 0:
         return -(q ** k) * q_number(q, -k)
-    total = 0
-    power = 1
-    for _ in range(k):
-        total += power
-        power *= q
-    return total
+    return _q_numbers(type(q), q).get(k)
+
+
+class _QNumbers:
+    """[0]_q, [1]_q, ... for one q, grown on demand by the running sum.
+
+    The table and the next power are replaced together as one tuple, so a
+    reader never sees a table that is still being extended.
+    """
+
+    __slots__ = ("q", "_state")
+
+    def __init__(self, q):
+        self.q = q
+        self._state = ([0], 1)
+
+    def get(self, k: int):
+        totals, power = self._state
+        if k < len(totals):
+            return totals[k]
+        totals = list(totals)
+        total, q = totals[-1], self.q
+        for _ in range(len(totals), max(k + 1, 2 * len(totals))):
+            total += power
+            power *= q
+            totals.append(total)
+        self._state = (totals, power)
+        return totals[k]
+
+
+@lru_cache(maxsize=64)
+def _q_numbers(kind: type, q) -> _QNumbers:
+    # Keyed on the type too: 0.5 and 0.5+0j are equal keys whose q-numbers
+    # differ in type.
+    return _QNumbers(q)
 
 
 def _clamp_overflow(value):
@@ -209,11 +240,12 @@ def psi_sequence_from_json(obj: dict) -> PsiSequence:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("sequence JSON must be an object with a 'kind'")
     kind = obj["kind"]
+    if kind in ("q", "classical"):
+        cap = _json_int(obj.get("cap", PSI_CAP), "'cap'")
     if kind == "q":
-        return PsiSequence.q_deformation(_unpair(obj.get("q"), "'q'"),
-                                         cap=int(obj.get("cap", PSI_CAP)))
+        return PsiSequence.q_deformation(_unpair(obj.get("q"), "'q'"), cap=cap)
     if kind == "classical":
-        return PsiSequence.classical(cap=int(obj.get("cap", PSI_CAP)))
+        return PsiSequence.classical(cap=cap)
     if kind == "explicit":
         raw = obj.get("weights")
         if not isinstance(raw, list) or not raw:

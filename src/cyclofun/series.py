@@ -297,6 +297,13 @@ def _unpair(entry, what: str) -> complex:
         raise ValueError(f"{what} is too large for a double") from None
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; anything else, booleans and floats included, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def series_to_json(s: TruncatedSeries) -> dict:
     obj: dict = {
         "min_deg": s.min_deg,
@@ -315,8 +322,7 @@ def series_from_json(obj: dict) -> TruncatedSeries:
         raw = obj["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError("series JSON needs 'min_deg' and 'coeffs'") from exc
-    if isinstance(min_deg, bool) or not isinstance(min_deg, int):
-        raise ValueError("'min_deg' must be an integer")
+    min_deg = _json_int(min_deg, "'min_deg'")
     if not isinstance(raw, list) or not raw:
         raise ValueError("'coeffs' must be a nonempty list of [re, im] pairs")
     coeffs = [_unpair(entry, "a coefficient") for entry in raw]

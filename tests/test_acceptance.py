@@ -17,6 +17,7 @@ from cyclofun.demoivre import (
     circulant_det_spectral,
     circulant_from_components,
     circulant_group_law_residual,
+    demoivre_sweep,
     identity_suite,
     negative_check_non_exp,
 )
@@ -258,3 +259,13 @@ def test_criterion_8_cli_verification_battery():
         data = json.loads(proc.stdout)
         assert data
         assert all(r["pass"] for r in data)
+
+
+def test_criterion_9_large_order_sweep():
+    # Summing n exponentials per closed-form component made this sweep
+    # O(n**3): about 30 s on 2 vCPUs, against about 1 s with one FFT per point.
+    with criterion(9, "order-256 identity sweep passes over 5 draws", 10.0):
+        reports = demoivre_sweep(256, alpha_root(1, 256), 5, 0)
+        assert len(reports) == 10
+        assert all(rep.passed for rep in reports), [
+            (rep.identity, rep.residual) for rep in reports if not rep.passed]

@@ -124,6 +124,18 @@ def test_eval_deformed_exponential(capsys):
     assert "series" in data["values"]
 
 
+def test_eval_deformed_exponential_closed_form(capsys):
+    code, out, err = run_cli(capsys, "eval", "--builtin", "expq", "--q", "0.5",
+                             "--n", "2", "--z", "0.9", "--method", "both",
+                             "--format", "json")
+    assert code == 0, err
+    data = json.loads(out)
+    series, closed = data["values"]["series"], data["values"]["closed"]
+    assert abs(series[0] - 1.7088869528232216) < 1e-12
+    assert abs(closed[0] - series[0]) + abs(closed[1] - series[1]) < 1e-12
+    assert data["difference"] < 1e-12
+
+
 def test_eval_closed_needs_builtin(tmp_path, capsys):
     src = tmp_path / "s.json"
     src.write_text(json.dumps({"min_deg": 0, "coeffs": [[1, 0]]}))

@@ -94,6 +94,18 @@ def test_circulant_layout():
         circulant_from_components([1], 1)
 
 
+def test_circulant_matches_its_entrywise_definition():
+    rng = random.Random(9)
+    for n in range(2, 18):
+        for alpha in (0, 1, -1, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))):
+            vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            want = np.array([[vals[(j - i) % n] * complex(alpha) if j < i else vals[(j - i) % n]
+                              for j in range(n)] for i in range(n)])
+            got = circulant_from_components(vals, alpha)
+            # numpy's complex product may round the last bit differently
+            assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * np.abs(want))
+
+
 def test_circulant_equals_generator_polynomial():
     rng = random.Random(5)
     n = 4
@@ -122,6 +134,43 @@ def test_spectral_determinant_frozen_values():
         circulant_det_spectral([1, 0], ctx, one)
 
 
+def _spectral_reference(vals, ctx, a):
+    """Product over l of the eigenvalue sums sum_k c_k (r omega**l)**k."""
+    n = ctx.n
+    det = 1 + 0j
+    for l in range(n):
+        det *= sum(vals[k] * a.root ** k * ctx.omega_pow[(k * l) % n] for k in range(n))
+    return det
+
+
+def test_spectral_determinant_matches_the_eigenvalue_sums():
+    rng = random.Random(31)
+    for n in range(2, 18):
+        ctx = make_context(n)
+        for alpha in (0, 1, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))):
+            a = alpha_root(alpha, n, branch=rng.randint(0, n - 1))
+            vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+            want = _spectral_reference(vals, ctx, a)
+            got = circulant_det_spectral(vals, ctx, a)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (n, alpha)
+
+
+def test_fft_spectral_determinant_at_order_256():
+    rng = random.Random(256)
+    n = 256
+    ctx = make_context(n)
+    alpha = cmath.rect(1.5, 0.7)
+    # 1 plus a small tail keeps the determinant inside double range
+    vals = [1 + 0j] + [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.5 / math.sqrt(n)
+                       for _ in range(n - 1)]
+    direct = circulant_det_direct(circulant_from_components(vals, alpha))
+    dets = [circulant_det_spectral(vals, ctx, alpha_root(alpha, n, branch))
+            for branch in (0, 1, 100, 255)]
+    for det in dets:
+        assert abs(det - direct) <= 1e-9 * max(1.0, abs(direct))
+        assert abs(det - dets[0]) <= 1e-12 * abs(dets[0])
+
+
 def test_spectral_matches_lu_on_random_circulants():
     rng = random.Random(77)
     for n in (2, 3, 4, 5):
@@ -146,6 +195,16 @@ def test_sylvester_is_unitary_and_diagonalizes_the_shift():
         want = np.diag([ctx.omega_pow[l] for l in range(n)])
         assert cheb_norm(d - want) <= 1e-11
         assert cheb_norm(np.linalg.matrix_power(s, 4) - np.eye(n)) <= 1e-12
+
+
+def test_sylvester_at_order_256_is_the_unitary_root_table():
+    n = 256
+    ctx = make_context(n)
+    s = sylvester_matrix(ctx)
+    scale = 1 / math.sqrt(n)
+    assert s.tolist() == [[ctx.omega_pow[(k * l) % n] * scale for l in range(n)]
+                          for k in range(n)]
+    assert cheb_norm(s @ s.conj().T - np.eye(n)) <= 1e-12
 
 
 def test_identity_suite_all_pass_at_unit_weight():

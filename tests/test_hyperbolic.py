@@ -3,10 +3,12 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from cyclofun.cyclic import alpha_root, make_context
 from cyclofun.hyperbolic import (
+    HyperbolicFamily,
     build_family,
     family_from_json,
     family_to_json,
@@ -14,6 +16,7 @@ from cyclofun.hyperbolic import (
     h_eval,
     laurent_component,
 )
+from cyclofun.qpsi import PsiSequence, build_psi_hyperbolic
 from cyclofun.series import (
     DomainError,
     max_coeff_diff,
@@ -75,6 +78,83 @@ def test_series_and_closed_evaluations_agree():
                     a = h_eval(fam, s, z, "series")
                     b = h_eval(fam, s, z, "closed")
                     assert abs(a - b) <= 1e-11 * max(1.0, abs(a))
+
+
+def _exp_components_mp(n, alpha, z, digits=30):
+    """h_s(z) = sum_m alpha**m z**(n m + s) / (n m + s)! summed in mpmath."""
+    with mpmath.workdps(digits):
+        alpha, z = mpmath.mpc(alpha), mpmath.mpc(z)
+        out = [mpmath.mpc(0)] * n
+        term = mpmath.mpc(1)  # z**d / d!
+        for d in range(n + 80):
+            out[d % n] += alpha ** (d // n) * term
+            term = term * z / (d + 1)
+        return [complex(v) for v in out]
+
+
+def test_closed_component_vector_matches_mpmath():
+    z = 0.6 + 0.3j
+    for n in (2, 3, 8, 64, 256):
+        for alpha in (1, -1, 2 + 1j):
+            a = alpha_root(alpha, n)
+            fam = build_family(n, a)
+            got = [h_eval(fam, s, z, "closed") for s in range(n)]
+            want = _exp_components_mp(n, alpha, z)
+            # the FFT of the n rotated exponentials loses a few ulps of the
+            # largest one, scaled by the weight r**-s
+            size = max(abs(cmath.exp(w * a.root * z)) for w in fam.ctx.omega_pow)
+            for s in range(n):
+                tol = 1e-14 * size * abs(a.root) ** -s
+                assert abs(got[s] - want[s]) <= tol, (n, alpha, s)
+
+
+def test_closed_memo_never_returns_another_points_values():
+    fam = build_family(4, alpha_root(2 - 1j, 4))
+    z, w = 0.7 - 0.2j, -0.3 + 1.1j
+    for s in range(4):
+        for point in (z, w, z, z, w):
+            want = h_eval(fam, s, point, "series")
+            assert abs(h_eval(fam, s, point, "closed") - want) <= 1e-13 * max(1.0, abs(want))
+    # the checks still run when the point is already computed
+    with pytest.raises(DomainError):
+        h_eval(fam, 0, 5.0 * z / abs(z), "closed")
+    assert fam._memo[0] == w
+
+
+def test_families_never_share_a_closed_memo():
+    plus = build_family(3, alpha_root(1, 3))
+    minus = build_family(3, alpha_root(-1, 3))
+    copy = family_from_json(family_to_json(plus))
+    z = 0.5 + 0.5j
+    for s in range(3):
+        for fam in (plus, minus, copy, plus):
+            want = h_eval(fam, s, z, "series")
+            assert abs(h_eval(fam, s, z, "closed") - want) <= 1e-13 * max(1.0, abs(want))
+    assert abs(h_eval(plus, 1, z, "closed") - h_eval(minus, 1, z, "closed")) > 1e-3
+
+
+def test_closed_route_applies_a_scalar_base_one_argument_at_a_time():
+    # the deformed family's base is its series' evaluate, which takes one
+    # complex argument and checks its own domain
+    ps = PsiSequence.q_deformation(0.5)
+    for n in (2, 3, 5):
+        for alpha in (1, -1, 2 + 1j):
+            fam = build_psi_hyperbolic(ps, make_context(n), alpha_root(alpha, n))
+            for z in (0.9, 0.4 - 0.3j, 0.9):
+                for s in range(n):
+                    want = h_eval(fam, s, z, "series")
+                    got = h_eval(fam, s, z, "closed")
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (n, alpha, z, s)
+    fam = build_psi_hyperbolic(ps, make_context(2), alpha_root(4, 2))
+    with pytest.raises(DomainError):
+        h_eval(fam, 0, 1.0, "closed")  # |r z| = 2 is past the base bound 1.8
+    # a family built by hand with the scalar library exponential
+    ref = build_family(3, alpha_root(2 + 1j, 3))
+    fam = HyperbolicFamily(ref.ctx, ref.root, ref.components, base=cmath.exp)
+    z = 0.6 + 0.3j
+    for s in range(3):
+        want = h_eval(ref, s, z, "closed")
+        assert abs(h_eval(fam, s, z, "closed") - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_unknown_method_rejected():
@@ -206,6 +286,12 @@ def test_family_json_rejects_garbage():
     blob["alpha"] = [None, 0]
     with pytest.raises(ValueError):
         family_from_json(blob)
+    for key, bad in (("n", 2.9), ("n", True), ("n", "2"), ("branch", 0.5),
+                     ("branch", False)):
+        blob = family_to_json(build_family(2, alpha_root(1, 2), 4))
+        blob[key] = bad
+        with pytest.raises(ValueError):
+            family_from_json(blob)
 
 
 def test_family_cache_returns_same_object():

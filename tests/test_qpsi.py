@@ -47,6 +47,26 @@ def test_deformed_integer_values():
     assert q_number(1, 5) == 5
 
 
+def _q_number_loop(q, k):
+    if k < 0:
+        return -(q ** k) * _q_number_loop(q, -k)
+    total, power = 0, 1
+    for _ in range(k):
+        total += power
+        power *= q
+    return total
+
+
+def test_deformed_integer_table_matches_the_running_sum():
+    # Complex first: 0.5+0j and 0.5 are equal keys, but their q-numbers
+    # differ in type and must come from separate tables.
+    for q in (0.5 + 0j, 0.5, 2, 3 + 0j, 0.3 - 0.4j, -1.7, 1e10, 1 + 1e-8):
+        for k in [300, 7, 0, 1, *range(-4, 40), 129, 64]:
+            got, want = q_number(q, k), _q_number_loop(q, k)
+            assert type(got) is type(want), (q, k)
+            assert got == want, (q, k)
+
+
 def test_deformed_integer_near_unit_has_no_cancellation():
     # the cumulative power sum stays accurate where (q**k - 1)/(q - 1) loses digits
     q = 1 + 1e-8
@@ -358,6 +378,11 @@ def test_sequence_json_round_trip():
         psi_sequence_from_json({"kind": "q", "q": [None, 0]})
     with pytest.raises(ValueError):
         psi_sequence_from_json({"kind": "explicit", "weights": [[1, 0], ["0.5", 0]]})
+    for bad in (True, 7.9, "8", None):
+        with pytest.raises(ValueError):
+            psi_sequence_from_json({"kind": "classical", "cap": bad})
+        with pytest.raises(ValueError):
+            psi_sequence_from_json({"kind": "q", "q": [0.5, 0], "cap": bad})
 
 
 def test_polynomial_json_round_trip():
