@@ -17,15 +17,15 @@ import math
 import os
 import sys
 
-from .cyclic import alpha_root, make_context
+from .cyclic import AlphaRoot, alpha_root, make_context
 from .demoivre import (circulant_checks, circulant_det_direct,
                        circulant_det_spectral, circulant_from_components,
                        demoivre_sweep)
 from .hyperbolic import build_family, g_eval, h_eval, laurent_component
 from .qpsi import PsiSequence, build_psi_hyperbolic, qpsi_checks, series_exp_psi
 from .reports import all_pass, reports_to_csv, reports_to_json
-from .series import (DEFAULT_TRUNCATION, DomainError, TruncatedSeries, _ipow,
-                     _pair, coeff_close, max_coeff_diff, series_exp,
+from .series import (DEFAULT_TRUNCATION, DomainError, TruncatedSeries, _aligned,
+                     _ipow, _pair, coeff_close, max_coeff_diff, series_exp,
                      series_from_json, series_geometric, series_to_json)
 
 __all__ = ["main", "main_entry", "parse_complex"]
@@ -112,12 +112,9 @@ def _load_series(args) -> tuple[TruncatedSeries, dict]:
 
 def _reverify_decomposition(s: TruncatedSeries, comps, a) -> bool:
     if a.alpha == 0:
-        for k, c in enumerate(comps):
-            for d in c.degrees():
-                want = s.coeff(k) if d == k else 0j
-                if c.coeff(d) != want:
-                    return False
-        return True
+        # Component k keeps the degree-k coefficient of s and nothing else.
+        return all(x == (y if d == k else 0j) for k, c in enumerate(comps)
+                   for d, x, y in zip(c.degrees(), *_aligned(c, s, c.min_deg, c.max_deg)))
     total = comps[0]
     for k in range(1, len(comps)):
         total = total + comps[k] * _ipow(a.root, k)
@@ -173,8 +170,8 @@ def _cmd_decompose(args) -> int:
 
 # -- eval ----------------------------------------------------------------------
 
-def _eval_values(args, meta_out: dict) -> dict[str, complex]:
-    """Return {"series": value} and/or {"closed": value} per the method."""
+def _eval_values(args, meta_out: dict) -> tuple[AlphaRoot, int, dict[str, complex]]:
+    """The root, the reduced s, and {"series": value} and/or {"closed": value}."""
     methods = ["series", "closed"] if args.method == "both" else [args.method]
     ctx = make_context(args.n)
     a = alpha_root(args.alpha, args.n, args.branch)
@@ -191,7 +188,7 @@ def _eval_values(args, meta_out: dict) -> dict[str, complex]:
                 out["series"] = laurent_component(series, ctx, a, s).evaluate(args.z)
             else:
                 out["closed"] = g_eval(ctx, a, s, args.z)
-        return out
+        return a, s, out
 
     if args.builtin == "expq":
         ps = PsiSequence.q_deformation(args.q)
@@ -202,13 +199,12 @@ def _eval_values(args, meta_out: dict) -> dict[str, complex]:
         meta_out["builtin"] = "exp"
     for m in methods:
         out[m] = h_eval(fam, s, args.z, m)
-    return out
+    return a, s, out
 
 
 def _cmd_eval(args) -> int:
     meta: dict = {}
-    values = _eval_values(args, meta)
-    a = alpha_root(args.alpha, args.n, args.branch)
+    a, s, values = _eval_values(args, meta)
 
     if args.format == "json":
         obj = dict(meta)
@@ -216,7 +212,7 @@ def _cmd_eval(args) -> int:
             "n": args.n,
             "alpha": _pair(a.alpha),
             "branch": a.branch,
-            "s": int(args.s) % args.n,
+            "s": s,
             "z": _pair(args.z),
             "values": {k: _pair(v) for k, v in values.items()},
         })
@@ -226,13 +222,13 @@ def _cmd_eval(args) -> int:
     elif args.format == "csv":
         lines = ["method,s,n,z_re,z_im,value_re,value_im"]
         for k, v in values.items():
-            lines.append(f"{k},{int(args.s) % args.n},{args.n},"
+            lines.append(f"{k},{s},{args.n},"
                          f"{_fmt(args.z.real)},{_fmt(args.z.imag)},"
                          f"{_fmt(v.real)},{_fmt(v.imag)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
         src = meta.get("builtin") or meta.get("input")
-        lines = [f"component {int(args.s) % args.n} of {src}: n={args.n} "
+        lines = [f"component {s} of {src}: n={args.n} "
                  f"alpha={_fmt_complex(a.alpha)} branch={a.branch} "
                  f"z={_fmt_complex(args.z)}"]
         for k, v in values.items():

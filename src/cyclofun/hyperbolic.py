@@ -9,6 +9,7 @@ alpha = -1.  The geometric counterpart sieves 1/(1-z) instead.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -18,7 +19,7 @@ from numpy.fft import fft
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
 from .series import (DEFAULT_TRUNCATION, GEOMETRIC_MAX_ABS_ARG, DomainError,
-                     TruncatedSeries, _ipow, _json_int, _pair, _unpair, series_exp,
+                     TruncatedSeries, _json_int, _pair, _unpair, series_exp,
                      series_from_json, series_to_json)
 
 __all__ = [
@@ -87,6 +88,8 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
     base function over root-of-unity rotations of the scaled argument, which
     needs alpha != 0 and an attached base function.  The closed route makes
     all n components at once and keeps them for the next call at the same z.
+    It raises DomainError when its rounding bound, eps max|f| |r|**-s (the
+    transform's error scaled by the weight), exceeds 1e-9 max(1, |h_s|).
     """
     s = int(s) % fam.ctx.n
     z = complex(z)
@@ -105,13 +108,18 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
             f"|z| = {abs(z):.6g} exceeds the evaluation bound {bound:.6g}")
     memo = fam._memo
     if memo is None or memo[0] != z:
-        memo = (z, _closed_components(fam, z))
+        memo = (z, *_closed_components(fam, z))
         object.__setattr__(fam, "_memo", memo)
-    return memo[1][s]
+    _, vals, fmax = memo
+    err = sys.float_info.epsilon * fmax * abs(fam.root.root) ** -s
+    if err > 1e-9 and err > 1e-9 * abs(vals[s]):  # err > 1e-9 max(1, |h_s|)
+        raise DomainError(f"closed form rounding bound {err:.3g} at z = {z} exceeds "
+                          "1e-9 max(1, |value|); use the series method")
+    return vals[s]
 
 
-def _closed_components(fam: HyperbolicFamily, z: complex) -> list[complex]:
-    """h_s(z) = r**-s fft([f(omega**k r z)]_k)[s] / n for every s at once."""
+def _closed_components(fam: HyperbolicFamily, z: complex) -> tuple[list[complex], float]:
+    """h_s(z) = r**-s fft([f(omega**k r z)]_k)[s] / n for every s, and max_k |f|."""
     args = fam._rotated * z
     with np.errstate(all="ignore"):
         if isinstance(fam.base, np.ufunc):
@@ -121,30 +129,27 @@ def _closed_components(fam: HyperbolicFamily, z: complex) -> list[complex]:
         vals = (fft(f) * fam._weights).tolist()
     if not all(map(cmath.isfinite, vals)):
         raise OverflowError(f"closed form overflows at z = {z}")
-    return vals
+    return vals, max(map(abs, f.tolist()))
 
 
 def g_eval(ctx: CyclicContext, a: AlphaRoot, l: int, z: complex) -> complex:
     """Closed-form geometric component: the sieve of 1/(1-z), evaluated at z.
 
-    Requires alpha != 0 and |r z| <= 0.9 so every rotated argument stays
-    inside the geometric domain.
+    Class l sums alpha**m z**(n m + l) over m >= 0, which is exactly
+    z**l / (1 - alpha z**n).  Requires alpha != 0 and |r z| <= 0.9, the
+    domain of the sieved series, so the denominator stays away from zero.
     """
     if a.n != ctx.n:
         raise ValueError(f"root order {a.n} does not match context order {ctx.n}")
     if a.alpha == 0:
         raise ValueError("alpha = 0 has no pointwise form; sieve the series instead")
-    n = ctx.n
-    l = int(l) % n
+    l = int(l) % ctx.n
     z = complex(z)
     if abs(a.root * z) > GEOMETRIC_MAX_ABS_ARG:
         raise DomainError(
             f"|r z| = {abs(a.root * z):.6g} exceeds the geometric bound "
             f"{GEOMETRIC_MAX_ABS_ARG}")
-    acc = 0j
-    for k in range(n):
-        acc += ctx.omega_pow[(-k * l) % n] / (1 - ctx.omega_pow[k] * a.root * z)
-    return acc / n * _ipow(a.root, -l)
+    return z ** l / (1 - a.alpha * z ** ctx.n)
 
 
 def laurent_component(s: TruncatedSeries, ctx: CyclicContext, a: AlphaRoot,

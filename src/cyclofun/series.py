@@ -168,11 +168,8 @@ class TruncatedSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        lo = min(self.min_deg, o.min_deg)
-        hi = max(self.max_deg, o.max_deg)
-        a = (0j,) * (self.min_deg - lo) + self.coeffs + (0j,) * (hi - self.max_deg)
-        b = (0j,) * (o.min_deg - lo) + o.coeffs + (0j,) * (hi - o.max_deg)
-        return TruncatedSeries(lo, [x + y for x, y in zip(a, b)],
+        a, b = _aligned(self, o)
+        return TruncatedSeries(min(self.min_deg, o.min_deg), [x + y for x, y in zip(a, b)],
                                domain=_narrower(self.domain, o.domain))
 
     __radd__ = __add__
@@ -334,39 +331,40 @@ def series_from_json(obj: dict) -> TruncatedSeries:
 
 # -- comparison helpers --------------------------------------------------------
 
+def _aligned(s: TruncatedSeries, t: TruncatedSeries, lo: int | None = None,
+             hi: int | None = None) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The coefficients of s and t over degrees [lo, hi], zero outside each
+    window.  lo and hi default to the union of both windows."""
+    lo = min(s.min_deg, t.min_deg) if lo is None else lo
+    hi = max(s.max_deg, t.max_deg) if hi is None else hi
+    size = hi - lo + 1 if hi >= lo else 0
+    out = []
+    for x in (s, t):
+        # Pad x to cover [lo, hi] (a negative repeat pads nothing), then cut it out.
+        left = x.min_deg - lo
+        padded = (0j,) * left + x.coeffs + (0j,) * (hi - x.max_deg)
+        start = -left if left < 0 else 0
+        out.append(padded[start:start + size])
+    return out[0], out[1]
+
+
 def max_coeff_diff(s: TruncatedSeries, t: TruncatedSeries,
                    lo: int | None = None, hi: int | None = None) -> float:
     """Max |a_k - b_k| over [lo, hi] (default: the union of both windows)."""
-    if lo is None:
-        lo = min(s.min_deg, t.min_deg)
-    if hi is None:
-        hi = max(s.max_deg, t.max_deg)
-    return max((abs(s.coeff(d) - t.coeff(d)) for d in range(lo, hi + 1)), default=0.0)
+    a, b = _aligned(s, t, lo, hi)
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
 
 
 def coeff_residual(s: TruncatedSeries, t: TruncatedSeries,
                    lo: int | None = None, hi: int | None = None) -> float:
     """Max normalized coefficient gap |a-b| / max(1, |a|, |b|) over a window."""
-    if lo is None:
-        lo = min(s.min_deg, t.min_deg)
-    if hi is None:
-        hi = max(s.max_deg, t.max_deg)
-    worst = 0.0
-    for d in range(lo, hi + 1):
-        a, b = s.coeff(d), t.coeff(d)
-        gap = abs(a - b) / max(1.0, abs(a), abs(b))
-        if gap > worst:
-            worst = gap
-    return worst
+    a, b = _aligned(s, t, lo, hi)
+    return max((abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(a, b)), default=0.0)
 
 
 def coeff_close(s: TruncatedSeries, t: TruncatedSeries,
                 rel: float = 1e-9, abs_tol: float = 1e-12) -> bool:
     """Coefficientwise closeness with relative tolerance and absolute floor."""
-    lo = min(s.min_deg, t.min_deg)
-    hi = max(s.max_deg, t.max_deg)
-    for d in range(lo, hi + 1):
-        a, b = s.coeff(d), t.coeff(d)
-        if abs(a - b) > max(abs_tol, rel * max(abs(a), abs(b))):
-            return False
-    return True
+    a, b = _aligned(s, t)
+    return all(abs(x - y) <= max(abs_tol, rel * max(abs(x), abs(y)))
+               for x, y in zip(a, b))

@@ -115,6 +115,25 @@ def test_eval_geometric_closed_form(capsys):
     assert abs(data["values"]["closed"][0] - 0.30832476875642345) < 1e-12
 
 
+def test_eval_geometric_closed_form_at_a_tiny_weight(capsys):
+    code, out, err = run_cli(capsys, "eval", "--builtin", "geometric", "--n", "8",
+                             "--alpha", "1e-40", "--s", "7", "--z", "0.3",
+                             "--method", "both", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["difference"] <= 1e-18
+
+
+def test_eval_closed_route_without_correct_digits_exits_4(capsys):
+    argv = ("eval", "--builtin", "exp", "--n", "8", "--alpha", "1e-40", "--s", "7",
+            "--z", "1", "--method")
+    code, out, err = run_cli(capsys, *argv, "both")
+    assert code == 4
+    assert out == "" and "rounding bound" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, *argv, "series")
+    assert code == 0
+    assert "series: 0.000198" in out
+
+
 def test_eval_deformed_exponential(capsys):
     code, out, _ = run_cli(capsys, "eval", "--builtin", "expq", "--q", "0.5",
                            "--n", "2", "--s", "0", "--z", "0.9",

@@ -181,6 +181,38 @@ def test_geometric_closed_form_values():
         g_eval(ctx3, alpha_root(0, 3), 0, 0.1)
 
 
+def test_geometric_closed_form_matches_mpmath():
+    # points with |r z| up to just inside the 0.9 bound, in several directions
+    for n in (2, 3, 8, 32):
+        ctx = make_context(n)
+        for alpha in (1, -1, 2 + 1j, 4, 1e-40):
+            a = alpha_root(alpha, n)
+            for u in (0.2, 0.5 + 0.6j, -0.899j, 0.899, 0.63 - 0.63j):
+                z = u / abs(a.root)
+                with mpmath.workdps(30):
+                    zm = mpmath.mpc(z)
+                    want = [complex(zm ** l / (1 - mpmath.mpc(alpha) * zm ** n))
+                            for l in range(n)]
+                for l in range(n):
+                    got = g_eval(ctx, a, l, z)
+                    assert abs(got - want[l]) <= 1e-14 * abs(want[l]), (n, alpha, u, l)
+
+
+def test_closed_route_refuses_values_lost_to_rounding():
+    # |alpha| = 1e-40 at n = 8: the weight r**-7 = 1e35 lifts the transform's
+    # rounding error far above the value h_7(1) = 1/7! + ...
+    fam = build_family(8, alpha_root(1e-40, 8))
+    with pytest.raises(DomainError):
+        h_eval(fam, 7, 1, "closed")
+    assert abs(h_eval(fam, 7, 1, "series") - 1 / math.factorial(7)) <= 1e-18
+    for n in (2, 3, 8, 64):
+        for alpha in (1, -1, 2 + 1j, 1e-3):
+            fam = build_family(n, alpha_root(alpha, n))
+            for z in (0.3, 1 - 2j, -3.5j, 4.0, -2.8 + 2.8j):
+                for s in range(n):
+                    h_eval(fam, s, z, "closed")
+
+
 def test_geometric_closed_matches_sieved_series():
     ctx = make_context(3)
     a = alpha_root(2, 3)

@@ -12,8 +12,10 @@ from cyclofun.series import (
     DomainError,
     TruncatedSeries,
     coeff_close,
+    coeff_residual,
     constant_series,
     make_series,
+    max_coeff_diff,
     series_exp,
     series_from_json,
     series_geometric,
@@ -157,6 +159,64 @@ def test_addition_and_scalar_arithmetic():
     assert (3 * s).coeff(1) == 6
     assert (s * 3).coeff(1) == 6
     assert (-s).coeff(0) == -1
+
+
+def _union(s, t, lo, hi):
+    lo = min(s.min_deg, t.min_deg) if lo is None else lo
+    hi = max(s.max_deg, t.max_deg) if hi is None else hi
+    return range(lo, hi + 1)
+
+
+# The per-degree walks that the window-aligned helpers replaced, kept as the
+# reference.
+def _walk_max_coeff_diff(s, t, lo=None, hi=None):
+    return max((abs(s.coeff(d) - t.coeff(d)) for d in _union(s, t, lo, hi)), default=0.0)
+
+
+def _walk_coeff_residual(s, t, lo=None, hi=None):
+    worst = 0.0
+    for d in _union(s, t, lo, hi):
+        a, b = s.coeff(d), t.coeff(d)
+        gap = abs(a - b) / max(1.0, abs(a), abs(b))
+        if gap > worst:
+            worst = gap
+    return worst
+
+
+def _walk_coeff_close(s, t, rel=1e-9, abs_tol=1e-12):
+    for d in _union(s, t, None, None):
+        a, b = s.coeff(d), t.coeff(d)
+        if abs(a - b) > max(abs_tol, rel * max(abs(a), abs(b))):
+            return False
+    return True
+
+
+def test_window_helpers_match_the_per_degree_walks():
+    rng = random.Random(5)
+
+    def rand_series(lo, hi):
+        return TruncatedSeries(lo, [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                                    for _ in range(hi - lo + 1)])
+
+    windows = [((-5, -3), (4, 7)), ((4, 7), (-5, -3)), ((-3, 2), (-1, 5)),
+               ((0, 9), (2, 4)), ((-4, -4), (-4, -4)), ((1, 6), (1, 6))]
+    ranges = [(None, None), (-20, 20), (-30, -10), (12, 30), (-1, 3), (5, 2), (3, 3)]
+    for (a_lo, a_hi), (b_lo, b_hi) in windows:
+        s = rand_series(a_lo, a_hi)
+        t = rand_series(b_lo, b_hi)
+        # a near copy of s on t's window, so coeff_close sees both outcomes
+        near = TruncatedSeries(a_lo, [c * (1 + 1e-11) for c in s.coeffs])
+        for x, y in ((s, t), (s, near), (near, s), (s, s)):
+            sum_ = x + y
+            union = _union(x, y, None, None)
+            assert sum_.min_deg == union.start and sum_.max_deg == union.stop - 1
+            assert sum_.coeffs == tuple(x.coeff(d) + y.coeff(d) for d in union)
+            assert coeff_close(x, y) == _walk_coeff_close(x, y)
+            assert coeff_close(x, y, 1e-12, 0.0) == _walk_coeff_close(x, y, 1e-12, 0.0)
+            for lo, hi in ranges:
+                assert max_coeff_diff(x, y, lo, hi) == _walk_max_coeff_diff(x, y, lo, hi)
+                assert coeff_residual(x, y, lo, hi) == _walk_coeff_residual(x, y, lo, hi)
+    assert coeff_close(s, near) and not coeff_close(s, near, 1e-13, 0.0)
 
 
 def test_product_convolution():
