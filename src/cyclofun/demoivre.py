@@ -50,11 +50,16 @@ def cheb_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def generator_matrix(n: int, alpha: complex) -> np.ndarray:
-    """Twisted cyclic shift: ones above the diagonal, alpha in the corner."""
+def _order(n: int) -> int:
     n = int(n)
     if n < 2:
         raise ValueError(f"order must be at least 2, got {n}")
+    return n
+
+
+def generator_matrix(n: int, alpha: complex) -> np.ndarray:
+    """Twisted cyclic shift: ones above the diagonal, alpha in the corner."""
+    n = _order(n)
     g = np.eye(n, k=1, dtype=complex)
     g[n - 1, 0] = complex(alpha)
     return g
@@ -62,15 +67,18 @@ def generator_matrix(n: int, alpha: complex) -> np.ndarray:
 
 def circulant_from_components(components: Sequence[complex], alpha: complex) -> np.ndarray:
     """Twisted circulant: entry (i, j) is component (j-i) mod n, times alpha
-    whenever the index wraps (j < i)."""
-    vals = np.array([complex(c) for c in components])
+    whenever the index wraps (j < i).
+
+    Row i is the window ext[n-i : 2n-i] of ext = (alpha c, c), so the matrix
+    is one strided view of ext (rows step back one entry), copied once.
+    """
+    vals = np.array(components, dtype=complex)
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two components")
-    offset = np.arange(n) - np.arange(n)[:, None]
-    m = vals[offset % n]
-    m[offset < 0] *= complex(alpha)
-    return m
+    ext = np.concatenate((complex(alpha) * vals, vals))
+    step = ext.itemsize
+    return np.ndarray((n, n), complex, ext, n * step, (-step, step)).copy()
 
 
 def circulant_det_spectral(components: Sequence[complex], ctx: CyclicContext,
@@ -119,8 +127,11 @@ def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled",
     "assembled" places the hyperbolic component values into the twisted
     circulant pattern; "taylor" sums the matrix Taylor series until the
     remainder bound (max(1,|alpha|) |z|)**(k+1)/(k+1)! drops below 1e-15.
+    The Taylor route applies the shift as a shift: column j of term @ (z G)
+    is z times column j-1 of term, and column 0 is alpha z times the last,
+    so a term costs O(n**2) and no matrix product.
     """
-    n = int(n)
+    n = _order(n)
     z = complex(z)
     if method == "assembled":
         fam = build_family(n, a, trunc)
@@ -128,13 +139,16 @@ def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled",
         return circulant_from_components(vals, a.alpha)
     if method != "taylor":
         raise ValueError(f"unknown method {method!r}")
-    g = generator_matrix(n, a.alpha) * z
+    wrap = complex(a.alpha) * z
     total = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
+    nxt = np.empty_like(term)
     rho = max(1.0, abs(a.alpha)) * abs(z)
     bound = 1.0
     for k in range(1, 400):
-        term = term @ g / k
+        np.multiply(term[:, :-1], z / k, out=nxt[:, 1:])
+        np.multiply(term[:, -1], wrap / k, out=nxt[:, 0])
+        term, nxt = nxt, term
         total += term
         bound *= rho / k
         if bound < TAYLOR_TAIL_BOUND:
@@ -248,9 +262,12 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
                            tolerance=DET_TOLERANCE))
 
     geo = series_geometric(trunc)
-    r_abs = abs(a.root)
+    # The sieved series needs |r z_g| <= 0.45, and its evaluation bound 0.9
+    # applies to z_g itself whatever r is; the floor on |r| keeps a pulled-in
+    # point at |z_g| <= 0.8, clear of that bound after rounding.
+    r_abs = max(abs(a.root), 0.45 / 0.8)
     zg = z
-    if r_abs * abs(z) > 0.45 and abs(z) > 0:
+    if r_abs * abs(z) > 0.45:
         zg = z * (0.45 / (r_abs * abs(z)))
     gcomps = [project_series(geo, ctx, k, a).evaluate(zg) for k in range(n)]
     gspec = circulant_det_spectral(gcomps, ctx, a)

@@ -210,6 +210,19 @@ def test_verify_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_demoivre_at_small_weights_passes(capsys):
+    # |r| < 1 lets a unit-disk draw pass the geometric series' bound 0.9 on
+    # |z|; the geometric determinant check must rescale such a point too.
+    for argv in (["--n", "3", "--alpha", "1e-2"], ["--n", "8", "--alpha", "1e-4"],
+                 ["--n", "16", "--alpha", "1e-6"], ["--n", "2", "--alpha", "0"]):
+        code, out, err = run_cli(capsys, "verify", "--suite", "demoivre", *argv,
+                                 "--format", "json")
+        assert code == 0 and err == "", argv
+        data = json.loads(out)
+        assert all(r["pass"] for r in data), argv
+        assert "det_product_geometric" in {r["identity"] for r in data}
+
+
 def test_verify_csv_header(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "circulant",
                            "--format", "csv")

@@ -9,6 +9,7 @@ import pytest
 
 from cyclofun.cyclic import alpha_root, make_context
 from cyclofun.demoivre import (
+    TAYLOR_TAIL_BOUND,
     cheb_norm,
     circulant_checks,
     circulant_det_direct,
@@ -76,6 +77,55 @@ def test_assembled_and_taylor_routes_agree():
         demoivre_matrix(2, alpha_root(1, 2), 0.5, "secret")
 
 
+def _dense_taylor(n, alpha, z):
+    """The matrix Taylor sum with a dense product per term, the reference for
+    the column-shift step."""
+    g = generator_matrix(n, alpha) * z
+    total = np.eye(n, dtype=complex)
+    term = np.eye(n, dtype=complex)
+    rho = max(1.0, abs(alpha)) * abs(z)
+    bound = 1.0
+    for k in range(1, 400):
+        term = term @ g / k
+        total += term
+        bound *= rho / k
+        if bound < TAYLOR_TAIL_BOUND:
+            break
+    else:
+        raise RuntimeError("matrix Taylor series failed to meet the tail bound")
+    return total
+
+
+def test_taylor_shift_step_matches_the_dense_product():
+    # n = 2 and alpha = 0 exercise the wrap column, which carries alpha z.
+    for n in (2, 3, 5, 128):
+        for alpha in (0, 1, 2 + 1j):
+            a = alpha_root(alpha, n)
+            for z in (0.7, -0.4 + 0.3j, 1j, 2.5 - 1j):
+                want = _dense_taylor(n, alpha, z)
+                got = demoivre_matrix(n, a, z, "taylor")
+                assert cheb_norm(got - want) <= 1e-14 * cheb_norm(want), (n, alpha, z)
+    for route in (_dense_taylor, lambda n, alpha, z: demoivre_matrix(
+            n, alpha_root(alpha, n), z, "taylor")):
+        with pytest.raises(RuntimeError):
+            route(3, 1, 300)
+    with pytest.raises(ValueError):
+        demoivre_matrix(1, alpha_root(1, 2), 0.5, "taylor")
+
+
+def test_both_routes_match_scipy_expm():
+    linalg = pytest.importorskip("scipy.linalg")
+    for n in (2, 3, 8, 32, 128, 256):
+        for alpha in (1, -1, 2 + 1j, 1.5 * cmath.exp(0.9j), 1e-3):
+            a = alpha_root(alpha, n)
+            for z in (0.9 * cmath.exp(0.7j), -0.6 + 0.2j, 1.0):
+                want = linalg.expm(generator_matrix(n, alpha) * z)
+                scale = max(1.0, cheb_norm(want))
+                for route in ("assembled", "taylor"):
+                    got = demoivre_matrix(n, a, z, route)
+                    assert cheb_norm(got - want) <= 1e-12 * scale, (n, alpha, z, route)
+
+
 def test_matrix_satisfies_the_shift_ode():
     n, a = 3, alpha_root(1, 3)
     g = generator_matrix(3, 1)
@@ -104,6 +154,35 @@ def test_circulant_matches_its_entrywise_definition():
             got = circulant_from_components(vals, alpha)
             # numpy's complex product may round the last bit differently
             assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * np.abs(want))
+            # but each alpha * c_k is formed once, so every diagonal is constant.
+            assert np.array_equal(got[1:, 1:], got[:-1, :-1])
+
+
+def _masked_circulant(components, alpha):
+    """Gather by (j - i) mod n, then scale the wrapped entries: the reference
+    for the strided copy."""
+    vals = np.array([complex(c) for c in components])
+    n = len(vals)
+    offset = np.arange(n) - np.arange(n)[:, None]
+    m = vals[offset % n]
+    m[offset < 0] *= complex(alpha)
+    return m
+
+
+def test_circulant_strided_copy_matches_the_index_and_mask_build():
+    # For these weights and inputs every product alpha * c is exact, so the
+    # two builds must agree entry for entry however numpy rounds.
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 17, 64, 128, 256):
+        ints = rng.integers(-50, 50, n).tolist()
+        floats = rng.standard_normal(n).tolist()
+        cplx = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()
+        for alpha in (0, 1, 2 + 1j):
+            for vals in (ints, floats, cplx):
+                got = circulant_from_components(vals, alpha)
+                assert got.dtype == complex and got.flags["C_CONTIGUOUS"]
+                assert got.base is None
+                assert np.array_equal(got, _masked_circulant(vals, alpha)), (n, alpha)
 
 
 def test_circulant_equals_generator_polynomial():
@@ -225,6 +304,22 @@ def test_identity_suite_handles_other_weights():
         assert "triple_product" not in names
         assert "product_mean_rotation" not in names
         assert "group_law" in names and "det_product_geometric" in names
+
+
+def test_geometric_check_keeps_its_point_inside_both_bounds():
+    z = 0.99 * cmath.exp(0.4j)
+    for n, alpha in ((2, 0), (2, 0.25), (2, 0.3), (3, 1e-2), (8, 1e-4), (16, 1e-6),
+                     (3, 1), (4, 9)):
+        a = alpha_root(alpha, n)
+        rep = next(r for r in identity_suite(n, a, z, 0.1)
+                   if r.identity == "det_product_geometric")
+        zg = rep.params["z_geometric"]
+        assert rep.passed
+        assert abs(zg) <= 0.8 + 1e-15 and abs(a.root * zg) <= 0.45 + 1e-15
+    # A point already inside both bounds is used as it is.
+    rep = next(r for r in identity_suite(3, alpha_root(1, 3), 0.3, 0.1)
+               if r.identity == "det_product_geometric")
+    assert rep.params["z_geometric"] == 0.3
 
 
 def test_order_two_surface_is_unimodular():
