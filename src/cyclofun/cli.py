@@ -76,16 +76,26 @@ def _env_tolerance() -> float | None:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None or raw == "":
         return None
-    return float(raw)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
 
 
 def _effective_tolerance(args, fallback: float | None = None) -> float | None:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = _env_tolerance()
-    if env is not None:
-        return env
-    return fallback
+    """The --tol value, else CYCLOFUN_TOL, else fallback.
+
+    A tolerance must be finite and nonnegative: inf passes every check, and
+    nan or a negative value fails every one.
+    """
+    tol, source = getattr(args, "tol", None), "--tol"
+    if tol is None:
+        tol, source = _env_tolerance(), TOL_ENV_VAR
+    if tol is None:
+        return fallback
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{source} must be a finite nonnegative number, got {tol!r}")
+    return tol
 
 
 # -- series sources -----------------------------------------------------------
@@ -243,6 +253,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     a = alpha_root(args.alpha, args.n, args.branch)
+    tol = _effective_tolerance(args)
     reports = []
     if args.suite in ("demoivre", "all"):
         reports.extend(demoivre_sweep(args.n, a, SWEEP_DRAWS, args.seed, args.trunc))
@@ -251,7 +262,6 @@ def _cmd_verify(args) -> int:
     if args.suite in ("qpsi", "all"):
         reports.extend(qpsi_checks(args.q, args.seed, args.trunc))
 
-    tol = _effective_tolerance(args)
     if tol is not None:
         reports = [r.with_tolerance(tol) if r.expect == "le" else r
                    for r in reports]
@@ -293,11 +303,11 @@ def _det_components(args, ctx, a) -> list[complex]:
 def _cmd_det(args) -> int:
     ctx = make_context(args.n)
     a = alpha_root(args.alpha, args.n, args.branch)
+    tol = _effective_tolerance(args, DET_DEFAULT_TOL)
     vals = _det_components(args, ctx, a)
     spectral = circulant_det_spectral(vals, ctx, a)
     direct = circulant_det_direct(circulant_from_components(vals, a.alpha))
     diff = abs(spectral - direct) / max(1.0, abs(direct))
-    tol = _effective_tolerance(args, DET_DEFAULT_TOL)
     ok = diff <= tol
 
     if args.format == "json":

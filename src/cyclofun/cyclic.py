@@ -105,12 +105,12 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
         raise ValueError(f"root order {a.n} does not match context order {ctx.n}")
     n = ctx.n
     k = int(k) % n
-    out = []
-    for d, c in zip(s.degrees(), s.coeffs):
-        if (d - k) % n == 0:
-            out.append(_class_weight(a.alpha, (d - k) // n) * c)
-        else:
-            out.append(0j)
+    # Degrees n*m + k sit at offsets first, first + n, ...; the first has m = m0.
+    first = (k - s.min_deg) % n
+    m0 = (s.min_deg + first - k) // n
+    out = [0j] * len(s.coeffs)
+    out[first::n] = [_class_weight(a.alpha, m) * c
+                     for m, c in enumerate(s.coeffs[first::n], m0)]
     return TruncatedSeries(s.min_deg, out, label=s.label, domain=s.domain)
 
 

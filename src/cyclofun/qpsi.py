@@ -58,6 +58,8 @@ __all__ = [
 
 PSI_CAP = 256
 NUMBER_FLOOR = 1e-10
+# The derivative ladder's deepest window is [0, trunc - 2n] at n = 4.
+LADDER_MIN_TRUNC = 8
 
 
 def q_number(q, k: int):
@@ -462,7 +464,14 @@ def _random_poly_series(rng: random.Random, deg: int) -> TruncatedSeries:
 
 def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[IdentityReport]:
     """The deformed-calculus battery: derivative algebra, ladders, limits,
-    the Laguerre sequence, binomial convolutions, and the generating function."""
+    the Laguerre sequence, binomial convolutions, and the generating function.
+
+    trunc must be at least LADDER_MIN_TRUNC, so that every ladder window
+    [0, trunc - k - n] holds a degree; a smaller one would compare nothing.
+    """
+    if trunc < LADDER_MIN_TRUNC:
+        raise ValueError(f"the qpsi battery needs trunc >= {LADDER_MIN_TRUNC}, "
+                         f"got {trunc}")
     ps = PsiSequence.q_deformation(q)
     qv = ps.q
     rng = random.Random(seed)

@@ -201,6 +201,38 @@ def test_verify_reads_tolerance_from_environment(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "-1e-12"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch, value):
+    for argv in (["verify", "--suite", "circulant"], ["det", "--n", "2", "--components", "1,0"]):
+        code, out, err = run_cli(capsys, *argv, f"--tol={value}")
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: --tol must be")
+        monkeypatch.setenv("CYCLOFUN_TOL", value)
+        code, out, err = run_cli(capsys, *argv)
+        monkeypatch.delenv("CYCLOFUN_TOL")
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: CYCLOFUN_TOL must be")
+    monkeypatch.setenv("CYCLOFUN_TOL", "abc")
+    code, out, err = run_cli(capsys, "det", "--n", "2", "--components", "1,0")
+    assert code == 2 and out == "" and err.startswith("error: CYCLOFUN_TOL must be")
+    monkeypatch.setenv("CYCLOFUN_TOL", "0")
+    assert run_cli(capsys, "det", "--n", "2", "--components", "1,0")[0] == 0
+
+
+def test_verify_qpsi_refuses_a_truncation_that_empties_the_ladder(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "qpsi", "--trunc", "7")
+    assert code == 2 and out == "" and "trunc >= 8" in err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "qpsi", "--trunc", "8")
+    assert code == 0 and out.endswith("13/13 checks passed\n")
+
+
+def test_decompose_exp_at_a_very_long_truncation(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--builtin", "exp", "--n", "3",
+                           "--trunc", "100000")
+    assert code == 0
+    assert out.endswith("re-verification: ok\n")
+
+
 def test_verify_output_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--suite", "demoivre",
                              "--seed", "3", "--format", "json")

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from cyclofun.cyclic import (
+    _class_weight,
     alpha_root,
     make_context,
     omega_scale,
@@ -14,6 +15,7 @@ from cyclofun.cyclic import (
     project_series,
 )
 from cyclofun.series import (
+    TruncatedSeries,
     coeff_close,
     make_series,
     series_exp,
@@ -108,6 +110,40 @@ def test_sieve_weights_negative_classes():
     assert p.coeff(-1) == 2 * 0.5
     assert p.coeff(2) == 3
     assert p.coeff(0) == 0
+
+
+# The per-degree loop that the strided slice replaced, kept as the reference.
+def _loop_project(s, ctx, k, a):
+    n = ctx.n
+    k = int(k) % n
+    out = []
+    for d, c in zip(s.degrees(), s.coeffs):
+        if (d - k) % n == 0:
+            out.append(_class_weight(a.alpha, (d - k) // n) * c)
+        else:
+            out.append(0j)
+    return out
+
+
+def test_strided_sieve_matches_the_per_degree_loop():
+    rng = random.Random(23)
+    for n in (2, 3, 5, 32):
+        ctx = make_context(n)
+        # windows shorter than n, one class long, and several periods long
+        lengths = sorted({1, 2, n - 1, n, n + 1, 3 * n + 2})
+        for min_deg in (-7, 0, 3):
+            for length in lengths:
+                s = TruncatedSeries(min_deg, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                              for _ in range(length)], label="probe")
+                for alpha in (0, 1, -1, 2 + 1j, 1e-3):
+                    a = alpha_root(alpha, n)
+                    for k in (-n - 1, -1, 0, 1, n - 1, n, 2 * n + 1):
+                        p = project_series(s, ctx, k, a)
+                        want = _loop_project(s, ctx, k, a)
+                        assert p.min_deg == s.min_deg and p.label == "probe"
+                        assert p.coeffs == tuple(want)
+                        # bit for bit, signed zeros included
+                        assert list(map(repr, p.coeffs)) == list(map(repr, want))
 
 
 def test_zero_weight_kills_other_classes():

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from cyclofun.cyclic import alpha_root, make_context
+from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.qpsi import (
     Polynomial,
     PsiSequence,
@@ -29,6 +29,7 @@ from cyclofun.qpsi import (
 from cyclofun.reports import all_pass
 from cyclofun.series import (
     TruncatedSeries,
+    _termwise_lower,
     coeff_residual,
     make_series,
     max_coeff_diff,
@@ -120,6 +121,43 @@ def test_psi_derivative_equals_jackson_bit_for_bit():
     for q in (0.7, 2.0, 0.5):
         ps = PsiSequence.q_deformation(q)
         assert psi_derivative(s, ps).coeffs == jackson_derivative(s, q).coeffs
+
+
+def test_lowering_skips_zero_coefficients():
+    """A zero lowers to itself without a number(d) call; every nonzero term
+    is number(d) * a_d as before, one call each."""
+    q = 0.7
+    ctx = make_context(4)
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return q_number(q, d)
+
+    for a in (alpha_root(1, 4), alpha_root(2 + 1j, 4)):
+        for s in (project_series(series_exp(40), ctx, 1, a),
+                  make_series([(-9, 2), (-3, 0.5), (0, 1), (5, -1j), (12, 0)])):
+            calls.clear()
+            d = _termwise_lower(s, counted)
+            first = 1 if s.min_deg == 0 else s.min_deg
+            last = -1 if s.max_deg == 0 else s.max_deg
+            nonzero = [k for k in range(first, last + 1) if s.coeff(k) != 0]
+            assert calls == nonzero
+            assert d.min_deg == first - 1 and d.max_deg == last - 1
+            for k in range(first, last + 1):
+                c = s.coeff(k)
+                assert d.coeff(k - 1) == (q_number(q, k) * c if c != 0 else 0)
+            assert d.coeffs == jackson_derivative(s, q).coeffs
+
+
+def test_zero_coefficients_past_the_cap_lower_to_zero():
+    ps = PsiSequence.q_deformation(0.5, cap=4)
+    s = make_series([(0, 1), (2, 3), (6, 0)])
+    d = psi_derivative(s, ps)
+    assert d.max_deg == 5 and d.coeff(1) == 3 * ps.number(2)
+    assert not any(d.coeffs[2:])
+    with pytest.raises(ValueError):
+        psi_derivative(make_series([(0, 1), (5, 1)]), ps)
 
 
 def test_psi_derivative_rejects_negative_degrees():
@@ -406,6 +444,12 @@ def test_polynomial_basics():
     assert not any((p - p).coeffs)
     assert Polynomial([]).coeffs == (0j,)
     assert p.evaluate(1e6) == 1 + 2e6   # entire: no evaluation bound
+
+
+def test_qpsi_battery_needs_a_degree_in_every_ladder_window():
+    with pytest.raises(ValueError, match="trunc >= 8"):
+        qpsi_checks(0.5, seed=0, trunc=7)
+    assert all_pass(qpsi_checks(0.5, seed=0, trunc=8))
 
 
 def test_qpsi_battery_passes():

@@ -4,11 +4,13 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclofun.series import (
+    PRODUCT_DEGREE_CAP,
     DomainError,
     TruncatedSeries,
     coeff_close,
@@ -51,6 +53,12 @@ def test_exp_series_matches_library():
     s = series_exp(24)
     for k in range(25):
         assert s.coeff(k) == 1 / math.factorial(k)
+    # Around the last normal (170, 171) and subnormal (177) terms and past
+    # the first zero (178): every coefficient is the rounded 1/k!.
+    for trunc in (0, 1, 2, 169, 170, 171, 176, 177, 178, 179, 500):
+        s = series_exp(trunc)
+        assert s.min_deg == 0 and s.max_deg == trunc
+        assert s.coeffs == tuple(1 / math.factorial(k) + 0j for k in range(trunc + 1))
     for z in (0.5, -1.2, 1 + 1j, 2.0):
         want = cmath.exp(z)
         assert abs(s.evaluate(z) - want) <= 1e-13 * abs(want)
@@ -206,7 +214,10 @@ def test_window_helpers_match_the_per_degree_walks():
         t = rand_series(b_lo, b_hi)
         # a near copy of s on t's window, so coeff_close sees both outcomes
         near = TruncatedSeries(a_lo, [c * (1 + 1e-11) for c in s.coeffs])
-        for x, y in ((s, t), (s, near), (near, s), (s, s)):
+        # s with every other coefficient a signed zero: pairs of equal
+        # entries, as two sieved series have, next to unequal ones
+        sieved = TruncatedSeries(a_lo, [c if i % 2 else -0j for i, c in enumerate(s.coeffs)])
+        for x, y in ((s, t), (s, near), (near, s), (s, s), (s, sieved), (sieved, near)):
             sum_ = x + y
             union = _union(x, y, None, None)
             assert sum_.min_deg == union.start and sum_.max_deg == union.stop - 1
@@ -232,6 +243,72 @@ def test_product_degree_cap():
         s * s
     t = series_exp(200) * series_exp(200)
     assert t.max_deg == 256
+
+
+# The double loop that the convolution replaced, kept as the reference.
+def _loop_product(s, t):
+    lo = s.min_deg + t.min_deg
+    hi = min(s.max_deg + t.max_deg, PRODUCT_DEGREE_CAP)
+    out = [0j] * (hi - lo + 1)
+    for i, a in zip(s.degrees(), s.coeffs):
+        if a == 0:
+            continue
+        for j, b in zip(t.degrees(), t.coeffs):
+            d = i + j
+            if d > hi:
+                break
+            out[d - lo] += a * b
+    return lo, out
+
+
+def _exact_product(s, t, lo, hi):
+    """The product's coefficients over [lo, hi] in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        out = [mpmath.mpc(0)] * (hi - lo + 1)
+        for i, a in zip(s.degrees(), s.coeffs):
+            for j, b in zip(t.degrees(), t.coeffs):
+                if i + j <= hi:
+                    out[i + j - lo] += mpmath.mpc(a) * mpmath.mpc(b)
+        return [complex(c) for c in out]
+
+
+def test_product_convolution_matches_the_double_loop_and_mpmath():
+    """Each product coefficient is within 1e-14 of the sum of |a_i||b_j|
+    over its terms, against the double loop and a 40-digit sum."""
+    rng = random.Random(61)
+
+    def rand_series(lo, hi):
+        # About a quarter of the coefficients exactly zero.
+        return TruncatedSeries(lo, [0j if rng.random() < 0.25
+                                    else complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                                    for _ in range(hi - lo + 1)])
+
+    windows = [((0, 0), (0, 0)), ((0, 3), (0, 12)), ((-5, 4), (-2, 7)), ((-9, -3), (2, 5)),
+               ((0, 64), (0, 64)), ((0, 256), (0, 256)), ((120, 200), (30, 90)),
+               ((250, 256), (0, 3)), ((-6, 130), (-4, 140))]
+    for (a_lo, a_hi), (b_lo, b_hi) in windows:
+        s, t = rand_series(a_lo, a_hi), rand_series(b_lo, b_hi)
+        p = s * t
+        lo, want = _loop_product(s, t)
+        assert p.min_deg == lo and p.max_deg == lo + len(want) - 1
+        assert p.max_deg == min(a_hi + b_hi, PRODUCT_DEGREE_CAP)
+        scale = _loop_product(TruncatedSeries(a_lo, [abs(c) for c in s.coeffs]),
+                              TruncatedSeries(b_lo, [abs(c) for c in t.coeffs]))[1]
+        exact = _exact_product(s, t, p.min_deg, p.max_deg)
+        for got, ref, oracle, bound in zip(p.coeffs, want, exact, scale):
+            assert abs(got - ref) <= 1e-14 * bound.real
+            assert abs(got - oracle) <= 1e-14 * bound.real
+        # a factor with only zeros gives an exactly zero product
+        zero = TruncatedSeries(b_lo, [0j] * (b_hi - b_lo + 1))
+        assert all(c == 0 for c in (s * zero).coeffs)
+
+
+def test_product_overflow_is_a_value_error():
+    big = make_series([(0, 1e200), (1, 1e200j)])
+    with pytest.raises(ValueError):
+        big * big
+    with pytest.raises(ValueError):
+        series_exp(4) * big * big
 
 
 def test_domain_narrows_under_combination():
