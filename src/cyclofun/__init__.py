@@ -1,5 +1,9 @@
 """Cyclic-group decompositions of series, generalized hyperbolic components,
-twisted circulant identities, and q/psi-deformed calculus."""
+twisted circulant identities, and q/psi-deformed calculus.
+
+Importing the package loads no numpy: each function that works on arrays
+imports it on first use, so commands that only sieve coefficients start fast.
+"""
 
 from . import cyclic, demoivre, hyperbolic, qpsi, reports, series
 from .cyclic import *  # noqa: F401,F403

@@ -109,7 +109,8 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
     first = (k - s.min_deg) % n
     m0 = (s.min_deg + first - k) // n
     out = [0j] * len(s.coeffs)
-    out[first::n] = [_class_weight(a.alpha, m) * c
+    # A zero stays itself: alpha**m may overflow where the coefficient is 0.
+    out[first::n] = [_class_weight(a.alpha, m) * c if c else c
                      for m, c in enumerate(s.coeffs[first::n], m0)]
     return TruncatedSeries(s.min_deg, out, label=s.label, domain=s.domain)
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Sequence
-
-import numpy as np
-from numpy.fft import ifft
+from typing import TYPE_CHECKING, Sequence
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
 from .hyperbolic import HyperbolicFamily, build_family, h_eval
 from .reports import IdentityReport
 from .series import DEFAULT_TRUNCATION, TruncatedSeries, series_exp, series_geometric
+
+if TYPE_CHECKING:  # annotations only; functions import numpy where they use it
+    import numpy as np
 
 __all__ = [
     "generator_matrix",
@@ -47,6 +47,8 @@ TAYLOR_TAIL_BOUND = 1e-15
 
 def cheb_norm(m: np.ndarray) -> float:
     """Max absolute entry, the residual norm used throughout."""
+    import numpy as np
+
     return float(np.max(np.abs(m)))
 
 
@@ -59,6 +61,8 @@ def _order(n: int) -> int:
 
 def generator_matrix(n: int, alpha: complex) -> np.ndarray:
     """Twisted cyclic shift: ones above the diagonal, alpha in the corner."""
+    import numpy as np
+
     n = _order(n)
     g = np.eye(n, k=1, dtype=complex)
     g[n - 1, 0] = complex(alpha)
@@ -72,6 +76,8 @@ def circulant_from_components(components: Sequence[complex], alpha: complex) -> 
     Row i is the window ext[n-i : 2n-i] of ext = (alpha c, c), so the matrix
     is one strided view of ext (rows step back one entry), copied once.
     """
+    import numpy as np
+
     vals = np.array(components, dtype=complex)
     n = len(vals)
     if n < 2:
@@ -90,6 +96,8 @@ def circulant_det_spectral(components: Sequence[complex], ctx: CyclicContext,
     does not depend on the branch.  The n eigenvalues are one inverse FFT
     of c_k r**k.
     """
+    import numpy as np
+
     vals = np.array([complex(c) for c in components])
     n = ctx.n
     if len(vals) != n:
@@ -97,7 +105,7 @@ def circulant_det_spectral(components: Sequence[complex], ctx: CyclicContext,
     if a.n != n:
         raise ValueError(f"root order {a.n} does not match context order {n}")
     with np.errstate(all="ignore"):
-        eigenvalues = ifft(vals * np.power(a.root, np.arange(n)), norm="forward")
+        eigenvalues = np.fft.ifft(vals * np.power(a.root, np.arange(n)), norm="forward")
     det = 1 + 0j
     for lam in eigenvalues.tolist():
         det *= lam
@@ -106,6 +114,8 @@ def circulant_det_spectral(components: Sequence[complex], ctx: CyclicContext,
 
 def circulant_det_direct(m: np.ndarray) -> complex:
     """LU-based determinant, the independent oracle for the spectral route."""
+    import numpy as np
+
     return complex(np.linalg.det(np.asarray(m, dtype=complex)))
 
 
@@ -115,6 +125,8 @@ def sylvester_matrix(ctx: CyclicContext) -> np.ndarray:
     Its columns are the eigenvectors of the untwisted shift, so S* G S is
     diagonal with the n-th roots of unity on the diagonal.
     """
+    import numpy as np
+
     n = ctx.n
     k = np.arange(n)
     return np.array(ctx.omega_pow)[np.outer(k, k) % n] * (1 / math.sqrt(n))
@@ -131,6 +143,8 @@ def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled",
     is z times column j-1 of term, and column 0 is alpha z times the last,
     so a term costs O(n**2) and no matrix product.
     """
+    import numpy as np
+
     n = _order(n)
     z = complex(z)
     if method == "assembled":
@@ -190,6 +204,8 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
     checked for any alpha; the scalar addition, product-mean, and triple
     identities are the alpha = 1 statements and are only emitted there.
     """
+    import numpy as np
+
     n = int(n)
     z, w = complex(z), complex(w)
     ctx = make_context(n)

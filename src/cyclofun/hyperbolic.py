@@ -12,15 +12,15 @@ import cmath
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
-from numpy.fft import fft
+from typing import TYPE_CHECKING, Callable
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
 from .series import (DEFAULT_TRUNCATION, GEOMETRIC_MAX_ABS_ARG, DomainError,
                      TruncatedSeries, _json_int, _pair, _unpair, series_exp,
                      series_from_json, series_to_json)
+
+if TYPE_CHECKING:  # annotations only; functions import numpy where they use it
+    import numpy as np
 
 __all__ = [
     "HyperbolicFamily",
@@ -60,6 +60,8 @@ class HyperbolicFamily:
     def __post_init__(self):
         if self.root.alpha == 0 or self.base is None:
             return
+        import numpy as np
+
         n, r = self.ctx.n, self.root.root
         # Weights past double range (|alpha| near the underflow limit) turn
         # into a closed-form OverflowError when used.
@@ -72,6 +74,8 @@ class HyperbolicFamily:
 @lru_cache(maxsize=128)
 def build_family(n: int, a: AlphaRoot, trunc: int = DEFAULT_TRUNCATION) -> HyperbolicFamily:
     """Sieve the exponential series into its n weighted components."""
+    import numpy as np
+
     n = int(n)
     if a.n != n:
         raise ValueError(f"root order {a.n} does not match requested order {n}")
@@ -120,13 +124,15 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
 
 def _closed_components(fam: HyperbolicFamily, z: complex) -> tuple[list[complex], float]:
     """h_s(z) = r**-s fft([f(omega**k r z)]_k)[s] / n for every s, and max_k |f|."""
+    import numpy as np
+
     args = fam._rotated * z
     with np.errstate(all="ignore"):
         if isinstance(fam.base, np.ufunc):
             f = fam.base(args)
         else:
             f = np.array([fam.base(v) for v in args.tolist()], dtype=complex)
-        vals = (fft(f) * fam._weights).tolist()
+        vals = (np.fft.fft(f) * fam._weights).tolist()
     if not all(map(cmath.isfinite, vals)):
         raise OverflowError(f"closed form overflows at z = {z}")
     return vals, max(map(abs, f.tolist()))
@@ -173,6 +179,8 @@ def family_to_json(fam: HyperbolicFamily) -> dict:
 
 
 def family_from_json(obj: dict) -> HyperbolicFamily:
+    import numpy as np
+
     if not isinstance(obj, dict):
         raise ValueError("family JSON must be an object")
     try:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "DomainError",
     "EvalDomain",
@@ -143,7 +141,9 @@ class TruncatedSeries:
         lam = _checked(lam, "scale factor")
         if lam == 0 and self.min_deg < 0:
             raise ValueError("cannot scale a negative-degree window by zero")
-        scaled = tuple(c * _ipow(lam, d) for d, c in zip(self.degrees(), self.coeffs))
+        # A zero stays itself: lam**d may overflow where the coefficient is 0.
+        scaled = tuple(c * _ipow(lam, d) if c else c
+                       for d, c in zip(self.degrees(), self.coeffs))
         if lam == 0:
             dom = self.domain
         else:
@@ -203,6 +203,8 @@ class TruncatedSeries:
         hi = min(self.max_deg + other.max_deg, PRODUCT_DEGREE_CAP)
         if hi < lo:
             raise ValueError("product window is empty after the degree cap")
+        import numpy as np  # deferred: importing the package loads no numpy
+
         # Full convolution, then cut at the cap: entry d - lo is degree d.
         out = np.convolve(self.coeffs, other.coeffs)[:hi - lo + 1].tolist()
         return TruncatedSeries(lo, out, domain=_narrower(self.domain, other.domain))

@@ -233,6 +233,20 @@ def test_decompose_exp_at_a_very_long_truncation(capsys):
     assert out.endswith("re-verification: ok\n")
 
 
+def test_zero_coefficients_past_double_range_powers(capsys):
+    # Every exp coefficient past degree 177 is 0.0; its weight 2**m or 2**d
+    # overflows, so only a nonzero coefficient there may stop the command.
+    for argv in (["decompose", "--builtin", "exp", "--n", "2", "--alpha", "2",
+                  "--trunc", "2100"],
+                 ["verify", "--suite", "circulant", "--trunc", "1100"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+    code, out, err = run_cli(capsys, "decompose", "--builtin", "geometric", "--n", "2",
+                             "--alpha", "2", "--trunc", "2100")
+    assert code == 4 and out == ""
+    assert err.startswith("domain error: numeric overflow")
+
+
 def test_verify_output_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--suite", "demoivre",
                              "--seed", "3", "--format", "json")

@@ -146,6 +146,39 @@ def test_strided_sieve_matches_the_per_degree_loop():
                         assert list(map(repr, p.coeffs)) == list(map(repr, want))
 
 
+def test_sieve_leaves_zero_coefficients_unweighted():
+    # A zero in the class stays the input's own zero; other terms match the loop.
+    rng = random.Random(29)
+    zeros = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+    for n in (2, 3, 5):
+        ctx = make_context(n)
+        for min_deg in (-7, 0, 3):
+            coeffs = [rng.choice(zeros) if rng.random() < 0.4
+                      else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                      for _ in range(4 * n + 3)]
+            s = TruncatedSeries(min_deg, coeffs)
+            for alpha in (0, 1, -1, 2 + 1j, 1e-3):
+                a = alpha_root(alpha, n)
+                for k in range(n):
+                    p = project_series(s, ctx, k, a)
+                    want = _loop_project(s, ctx, k, a)
+                    assert p.coeffs == tuple(want)
+                    for d, got, ref, c in zip(s.degrees(), p.coeffs, want, s.coeffs):
+                        expected = c if c == 0 and (d - k) % n == 0 else ref
+                        assert repr(got) == repr(expected), (n, min_deg, alpha, k, d)
+
+
+def test_sieve_of_a_long_zero_tail_does_not_overflow():
+    # alpha**m passes double range at m = 1024 here; only zeros sit there.
+    ctx = make_context(2)
+    a = alpha_root(2, 2)
+    s = TruncatedSeries(0, [1, 3] + [0j] * 2100)
+    p = project_series(s, ctx, 0, a)
+    assert p.coeff(0) == 1 and all(c == 0 for c in p.coeffs[1:])
+    with pytest.raises(OverflowError):
+        project_series(TruncatedSeries(0, [0j] * 2100 + [1]), ctx, 0, a)
+
+
 def test_zero_weight_kills_other_classes():
     ctx = make_context(2)
     zero = alpha_root(0, 2)

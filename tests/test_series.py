@@ -98,6 +98,16 @@ def test_scale_argument_on_laurent_degrees():
         s.scale_argument(0)
 
 
+def test_scale_argument_skips_the_power_of_a_zero_coefficient():
+    # 2**d passes double range at d = 1024; only zeros (signed ones kept) sit there.
+    tail = [complex(-0.0, 0.0), 0j] * 550
+    t = TruncatedSeries(-1, [1, 0j, 3] + tail).scale_argument(2)
+    assert t.coeffs[:3] == (0.5, 0, 6)
+    assert list(map(repr, t.coeffs[3:])) == list(map(repr, tail))
+    with pytest.raises(OverflowError):
+        TruncatedSeries(0, [0j] * 1100 + [1]).scale_argument(2)
+
+
 def test_scale_argument_matches_rotated_exponential():
     w = cmath.exp(2j * math.pi / 3)
     s = series_exp(48).scale_argument(w)
