@@ -18,12 +18,12 @@ import os
 import sys
 
 from .cyclic import AlphaRoot, alpha_root, make_context
-from .demoivre import (circulant_checks, circulant_det_direct,
+from .demoivre import (DET_TOLERANCE, circulant_checks, circulant_det_direct,
                        circulant_det_spectral, circulant_from_components,
                        demoivre_sweep)
 from .hyperbolic import build_family, g_eval, h_eval, laurent_component
 from .qpsi import PsiSequence, build_psi_hyperbolic, qpsi_checks, series_exp_psi
-from .reports import all_pass, reports_to_csv, reports_to_json
+from .reports import all_pass, relative_residual, reports_to_csv, reports_to_json
 from .series import (DEFAULT_TRUNCATION, DomainError, TruncatedSeries, _aligned,
                      _ipow, _pair, coeff_close, max_coeff_diff, series_exp,
                      series_from_json, series_geometric, series_to_json)
@@ -32,7 +32,6 @@ __all__ = ["main", "main_entry", "parse_complex"]
 
 SWEEP_DRAWS = 5
 TOL_ENV_VAR = "CYCLOFUN_TOL"
-DET_DEFAULT_TOL = 1e-9
 
 
 def parse_complex(text: str) -> complex:
@@ -303,11 +302,11 @@ def _det_components(args, ctx, a) -> list[complex]:
 def _cmd_det(args) -> int:
     ctx = make_context(args.n)
     a = alpha_root(args.alpha, args.n, args.branch)
-    tol = _effective_tolerance(args, DET_DEFAULT_TOL)
+    tol = _effective_tolerance(args, DET_TOLERANCE)
     vals = _det_components(args, ctx, a)
     spectral = circulant_det_spectral(vals, ctx, a)
     direct = circulant_det_direct(circulant_from_components(vals, a.alpha))
-    diff = abs(spectral - direct) / max(1.0, abs(direct))
+    diff = relative_residual(spectral, direct)
     ok = diff <= tol
 
     if args.format == "json":

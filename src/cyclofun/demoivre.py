@@ -12,11 +12,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
 from .hyperbolic import HyperbolicFamily, build_family, h_eval
-from .reports import IdentityReport
+from .reports import IdentityReport, relative_residual
 from .series import DEFAULT_TRUNCATION, TruncatedSeries, series_exp, series_geometric
 
 if TYPE_CHECKING:  # annotations only; functions import numpy where they use it
@@ -106,10 +106,7 @@ def circulant_det_spectral(components: Sequence[complex], ctx: CyclicContext,
         raise ValueError(f"root order {a.n} does not match context order {n}")
     with np.errstate(all="ignore"):
         eigenvalues = np.fft.ifft(vals * np.power(a.root, np.arange(n)), norm="forward")
-    det = 1 + 0j
-    for lam in eigenvalues.tolist():
-        det *= lam
-    return det
+    return math.prod(eigenvalues.tolist(), start=1 + 0j)
 
 
 def circulant_det_direct(m: np.ndarray) -> complex:
@@ -175,6 +172,12 @@ def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled",
 def _component_values(fam: HyperbolicFamily, z: complex) -> list[complex]:
     method = "closed" if fam.root.alpha != 0 and fam.base is not None else "series"
     return [h_eval(fam, s, z, method) for s in range(fam.ctx.n)]
+
+
+def _rotated_product(f: Callable[[complex], complex], ctx: CyclicContext,
+                     a: AlphaRoot, z: complex) -> complex:
+    """prod_l f(omega**l r z), the determinant of f(gamma z) by its eigenvalues."""
+    return math.prod(f(u * a.root * z) for u in ctx.omega_pow)
 
 
 # -- identity suite -----------------------------------------------------------
@@ -243,11 +246,8 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
         at_z = [ev(l, z) for l in range(n)]
         at_w = [ev(0, w) for _ in range(n)]
         rotated = [[ev(l, z + ctx.omega_pow[k] * w) for l in range(n)] for k in range(n)]
-        worst = 0.0
-        for lhs_z, lhs_w, column in zip(at_z, at_w, zip(*rotated)):
-            lhs = lhs_z * lhs_w
-            rhs = sum(column) / n
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        worst = max(relative_residual(sum(column) / n, lhs_z * lhs_w)
+                    for lhs_z, lhs_w, column in zip(at_z, at_w, zip(*rotated)))
         reports.append(_report("product_mean_rotation", base_params, worst))
 
         # h_k(z + w) = sum_i h_i(z) h_{k-i}(w) is row 0 of C(z) C(w) = C(z + w).
@@ -270,12 +270,8 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
                                    abs(h0_3z - rhs)))
 
     spectral = circulant_det_spectral(hz, ctx, a)
-    prod = 1 + 0j
-    for l in range(n):
-        prod *= cmath.exp(ctx.omega_pow[l] * a.root * z) if a.alpha != 0 else 1
-    reports.append(_report("det_product_exp", base_params,
-                           abs(spectral - prod) / max(1.0, abs(prod)),
-                           tolerance=DET_TOLERANCE))
+    reports.append(_report("det_product_exp", base_params, relative_residual(
+        spectral, _rotated_product(cmath.exp, ctx, a, z)), tolerance=DET_TOLERANCE))
 
     geo = series_geometric(trunc)
     # The sieved series needs |r z_g| <= 0.45, and its evaluation bound 0.9
@@ -287,19 +283,13 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
         zg = z * (0.45 / (r_abs * abs(z)))
     gcomps = [project_series(geo, ctx, k, a).evaluate(zg) for k in range(n)]
     gspec = circulant_det_spectral(gcomps, ctx, a)
-    gprod = 1 + 0j
-    for l in range(n):
-        gprod *= 1 / (1 - ctx.omega_pow[l] * a.root * zg)
-    geo_params = dict(base_params)
-    geo_params["z_geometric"] = zg
-    reports.append(_report("det_product_geometric", geo_params,
-                           abs(gspec - gprod) / max(1.0, abs(gprod)),
-                           tolerance=DET_TOLERANCE))
+    gprod = _rotated_product(lambda x: 1 / (1 - x), ctx, a, zg)
+    reports.append(_report("det_product_geometric", {**base_params, "z_geometric": zg},
+                           relative_residual(gspec, gprod), tolerance=DET_TOLERANCE))
 
     direct = circulant_det_direct(cz)
     reports.append(_report("spectral_vs_direct", base_params,
-                           abs(spectral - direct) / max(1.0, abs(direct)),
-                           tolerance=DET_TOLERANCE))
+                           relative_residual(spectral, direct), tolerance=DET_TOLERANCE))
     return reports
 
 
@@ -330,10 +320,7 @@ def negative_check_non_exp(base: TruncatedSeries, n: int, z: complex,
     gl = circulant_group_law_residual(base, n, z, w)
     comps = [project_series(base, ctx, k, one).evaluate(z) for k in range(n)]
     spectral = circulant_det_spectral(comps, ctx, one)
-    prod = 1 + 0j
-    for l in range(n):
-        prod *= base.evaluate(ctx.omega_pow[l] * complex(z))
-    det_res = abs(spectral - prod) / max(1.0, abs(prod))
+    det_res = relative_residual(spectral, _rotated_product(base.evaluate, ctx, one, z))
     return [
         _report("group_law_breaks", params, gl,
                 tolerance=GROUP_LAW_BREAK_FLOOR, expect="gt"),
@@ -352,8 +339,7 @@ def circulant_checks(trunc: int = DEFAULT_TRUNCATION, seed: int = 0) -> list[Ide
     reports.append(_report("exp_group_law_control", params,
                            circulant_group_law_residual(expo, 3, 0.2, 0.2)))
     scaled = expo.scale_argument(2).with_label("exp(2z)")
-    sparams = dict(params)
-    sparams["series"] = "exp(2z)"
+    sparams = {**params, "series": "exp(2z)"}
     reports.append(_report("scaled_exp_group_law_control", sparams,
                            circulant_group_law_residual(scaled, 3, 0.2, 0.2)))
 
@@ -365,7 +351,7 @@ def circulant_checks(trunc: int = DEFAULT_TRUNCATION, seed: int = 0) -> list[Ide
     target = 1 / (1 - z ** 3)
     reports.append(_report("geometric_det_value",
                            {"n": 3, "alpha": 1 + 0j, "z": z + 0j},
-                           abs(spectral - target) / max(1.0, abs(target)),
+                           relative_residual(spectral, target),
                            tolerance=DET_TOLERANCE))
 
     rng = random.Random(seed)
@@ -378,7 +364,7 @@ def circulant_checks(trunc: int = DEFAULT_TRUNCATION, seed: int = 0) -> list[Ide
     direct4 = circulant_det_direct(circulant_from_components(vals, alpha))
     reports.append(_report("random_circulant_spectral_vs_direct",
                            {"n": n4, "alpha": alpha, "seed": seed},
-                           abs(spec4 - direct4) / max(1.0, abs(direct4)),
+                           relative_residual(spec4, direct4),
                            tolerance=DET_TOLERANCE))
     return reports
 
@@ -399,25 +385,18 @@ def demoivre_sweep(n: int, a: AlphaRoot, draws: int, seed: int,
     their best (min), so a pass means every draw stayed on the right side.
     """
     rng = random.Random(seed)
-    # Reports keep their first draw's order: a replaced value keeps its place.
-    aggregated: dict[str, IdentityReport] = {}
+    runs = []
     for _ in range(draws):
         z = _disk_point(rng, 1.0)
         w = _disk_point(rng, 1.0)
-        for rep in identity_suite(n, a, z, w, trunc):
-            prev = aggregated.get(rep.identity)
-            if prev is None:
-                aggregated[rep.identity] = rep
-                continue
-            if rep.expect == "gt":
-                keep = rep if rep.residual < prev.residual else prev
-            else:
-                keep = rep if rep.residual > prev.residual else prev
-            aggregated[rep.identity] = keep
+        runs.append(identity_suite(n, a, z, w, trunc))
+    params = {"n": n, "alpha": a.alpha, "branch": a.branch, "draws": draws, "seed": seed}
     out = []
-    for rep in aggregated.values():
-        params = {"n": n, "alpha": a.alpha, "branch": a.branch,
-                  "draws": draws, "seed": seed}
-        out.append(IdentityReport(rep.identity, params, rep.residual,
+    # Every draw lists the same identities in the same order, so zip lines
+    # them up; max and min keep the first of equal or incomparable residuals.
+    for reps in zip(*runs):
+        pick = min if reps[0].expect == "gt" else max
+        rep = pick(reps, key=lambda r: r.residual)
+        out.append(IdentityReport(rep.identity, dict(params), rep.residual,
                                   rep.tolerance, rep.expect))
     return out

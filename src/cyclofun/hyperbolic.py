@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
@@ -39,9 +39,9 @@ class HyperbolicFamily:
 
     base is the scalar function whose sieve the components are; it feeds the
     closed-form path and is None when only series evaluation is available.
-    A numpy ufunc (np.exp for the classical family) is applied to all n
-    rotated arguments in one call, any other callable (a series' evaluate,
-    cmath.exp) to one argument at a time.
+    cmath.exp (the classical family) is applied as np.exp to all n rotated
+    arguments in one call, any other callable (a series' evaluate) to one
+    argument at a time.
     """
 
     ctx: CyclicContext
@@ -49,17 +49,17 @@ class HyperbolicFamily:
     components: tuple[TruncatedSeries, ...]
     base: Callable[[complex], complex] | None = field(default=None, compare=False)
     kind: str = "exp"
-    # Closed-form kernel, None when alpha = 0 or there is no base function:
-    # the rotated roots omega**k r, the weights r**-s / n, and the last point's
-    # component vector as one (z, values) tuple, read and replaced whole so a
-    # shared family never pairs a point with another point's values.
-    _rotated: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _weights: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # The last closed-route point's component vector as one (z, values)
+    # tuple, read and replaced whole so a shared family never pairs a point
+    # with another point's values.
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The closed form's rotated roots omega**k r and weights r**-s / n, built
+        at the first closed-route call; None when alpha = 0 or there is no base."""
         if self.root.alpha == 0 or self.base is None:
-            return
+            return None
         import numpy as np
 
         n, r = self.ctx.n, self.root.root
@@ -67,22 +67,19 @@ class HyperbolicFamily:
         # into a closed-form OverflowError when used.
         with np.errstate(all="ignore"):
             weights = np.power(r, -np.arange(n)) / n
-        object.__setattr__(self, "_rotated", np.array(self.ctx.omega_pow) * r)
-        object.__setattr__(self, "_weights", weights)
+        return np.array(self.ctx.omega_pow) * r, weights
 
 
 @lru_cache(maxsize=128)
 def build_family(n: int, a: AlphaRoot, trunc: int = DEFAULT_TRUNCATION) -> HyperbolicFamily:
     """Sieve the exponential series into its n weighted components."""
-    import numpy as np
-
     n = int(n)
     if a.n != n:
         raise ValueError(f"root order {a.n} does not match requested order {n}")
     ctx = make_context(n)
     base = series_exp(trunc)
     comps = tuple(laurent_component(base, ctx, a, s) for s in range(n))
-    return HyperbolicFamily(ctx, a, comps, base=np.exp, kind="exp")
+    return HyperbolicFamily(ctx, a, comps, base=cmath.exp, kind="exp")
 
 
 def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") -> complex:
@@ -102,7 +99,7 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
         return comp.evaluate(z)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
-    if fam._rotated is None:
+    if fam._kernel is None:
         if fam.root.alpha == 0:
             raise ValueError("closed form needs alpha != 0; use the series method")
         raise ValueError("this family carries no base function for the closed form")
@@ -126,13 +123,14 @@ def _closed_components(fam: HyperbolicFamily, z: complex) -> tuple[list[complex]
     """h_s(z) = r**-s fft([f(omega**k r z)]_k)[s] / n for every s, and max_k |f|."""
     import numpy as np
 
-    args = fam._rotated * z
+    rotated, weights = fam._kernel
+    args = rotated * z
     with np.errstate(all="ignore"):
-        if isinstance(fam.base, np.ufunc):
-            f = fam.base(args)
+        if fam.base is cmath.exp:
+            f = np.exp(args)
         else:
             f = np.array([fam.base(v) for v in args.tolist()], dtype=complex)
-        vals = (np.fft.fft(f) * fam._weights).tolist()
+        vals = (np.fft.fft(f) * weights).tolist()
     if not all(map(cmath.isfinite, vals)):
         raise OverflowError(f"closed form overflows at z = {z}")
     return vals, max(map(abs, f.tolist()))
@@ -179,8 +177,6 @@ def family_to_json(fam: HyperbolicFamily) -> dict:
 
 
 def family_from_json(obj: dict) -> HyperbolicFamily:
-    import numpy as np
-
     if not isinstance(obj, dict):
         raise ValueError("family JSON must be an object")
     try:
@@ -199,5 +195,5 @@ def family_from_json(obj: dict) -> HyperbolicFamily:
     ctx = make_context(n)
     comps = tuple(series_from_json(c) for c in raw)
     kind = obj.get("kind", "exp")
-    base = np.exp if kind == "exp" else None
+    base = cmath.exp if kind == "exp" else None
     return HyperbolicFamily(ctx, a, comps, base=base, kind=kind)

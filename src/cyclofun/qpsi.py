@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context
 from .hyperbolic import HyperbolicFamily, h_eval, laurent_component
-from .reports import IdentityReport
+from .reports import IdentityReport, relative_residual
 from .series import (
     DEFAULT_TRUNCATION,
     ENTIRE_MAX_ABS_ARG,
@@ -349,19 +349,13 @@ def laguerre_family(nmax: int, q) -> list[TruncatedSeries]:
     return [q_laguerre(n, q) for n in range(nmax + 1)]
 
 
-def lowering_operator_apply(p: TruncatedSeries, q, terms: int | None = None,
-                            ) -> TruncatedSeries:
-    """Apply -(D_q + D_q**2 + ...) to a polynomial.
-
-    The series is finite on polynomials; terms can cap it explicitly.
-    """
+def lowering_operator_apply(p: TruncatedSeries, q) -> TruncatedSeries:
+    """Apply -(D_q + D_q**2 + ...) to a polynomial, where the series is finite."""
     total = Polynomial([0])
     cur = jackson_derivative(p, q)
-    count = 1
-    while any(cur.coeffs) and (terms is None or count <= terms):
+    while any(cur.coeffs):
         total = total + cur
         cur = jackson_derivative(cur, q)
-        count += 1
     return -total
 
 
@@ -447,7 +441,7 @@ def verify_generating_function(ps: PsiSequence, ctx: CyclicContext, a: AlphaRoot
         lhs += (_ipow(a.alpha, m) * ps.psi_weight(d)
                 * _ipow(x, d) * _ipow(z, d))
         m += 1
-    residual = abs(lhs - rhs) / max(1.0, abs(rhs))
+    residual = relative_residual(lhs, rhs)
     params = {"kind": ps.kind, "n": ctx.n, "alpha": a.alpha, "branch": a.branch,
               "s": s, "x": x, "z": z, "trunc": trunc}
     if ps.kind == "q":
@@ -494,7 +488,7 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
         zp = cmath.rect(radius, theta)
         direct = (base.evaluate(qv * zp) - base.evaluate(zp)) / ((qv - 1) * zp)
         viaseries = dbase.evaluate(zp)
-        worst = max(worst, abs(direct - viaseries) / max(1.0, abs(direct)))
+        worst = max(worst, relative_residual(viaseries, direct))
     reports.append(IdentityReport(
         "jackson_dual_path", {"q": complex(qv), "points": 32, "seed": seed},
         worst, 1e-10))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 from dataclasses import dataclass, field
@@ -9,7 +10,8 @@ from typing import Iterable
 
 from .series import _pair
 
-__all__ = ["IdentityReport", "all_pass", "reports_to_json", "reports_to_csv"]
+__all__ = ["IdentityReport", "relative_residual", "all_pass", "reports_to_json",
+           "reports_to_csv"]
 
 
 def _plain(value):
@@ -21,6 +23,16 @@ def _plain(value):
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     return value
+
+
+def relative_residual(value: complex, ref: complex) -> float:
+    """|value - ref| / max(1, |ref|): absolute while |ref| <= 1, relative above.
+
+    A non-finite operand raises OverflowError: its residual, inf or nan,
+    could neither pass nor fail a check."""
+    if not (cmath.isfinite(value) and cmath.isfinite(ref)):
+        raise OverflowError(f"residual of {value} against {ref} is not finite")
+    return abs(value - ref) / max(1.0, abs(ref))
 
 
 @dataclass(frozen=True)

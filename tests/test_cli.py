@@ -342,6 +342,18 @@ def test_overflow_is_a_domain_error(capsys):
         assert err.startswith("domain error:") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_det_that_overflows_is_a_domain_error(capsys):
+    # Both determinants are inf+nan here, so there is no difference to print.
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run_cli(capsys, "det", "--components", "1e120,2e120,3e120",
+                                 "--n", "3", "--format", fmt)
+        assert code == 4, fmt
+        assert out == ""
+        assert err.splitlines()[-1].startswith("domain error: numeric overflow ("), fmt
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "cyclofun", "verify", "--suite", "circulant",

@@ -7,9 +7,11 @@ import random
 import numpy as np
 import pytest
 
+import cyclofun.demoivre as demoivre
 from cyclofun.cyclic import alpha_root, make_context
 from cyclofun.demoivre import (
     TAYLOR_TAIL_BOUND,
+    _disk_point,
     cheb_norm,
     circulant_checks,
     circulant_det_direct,
@@ -27,6 +29,7 @@ from cyclofun.hyperbolic import build_family, h_eval, laurent_component
 from cyclofun.reports import (
     IdentityReport,
     all_pass,
+    relative_residual,
     reports_to_csv,
     reports_to_json,
 )
@@ -367,6 +370,66 @@ def test_sweep_aggregates_over_draws():
     assert byname["group_law"].params["draws"] == 3
     again = demoivre_sweep(3, alpha_root(1, 3), draws=3, seed=5, trunc=48)
     assert [r.residual for r in again] == [r.residual for r in reps]
+
+
+def test_sweep_reports_the_extreme_draw_of_each_identity():
+    n, a, draws, seed = 3, alpha_root(1, 3), 4, 7
+    rng = random.Random(seed)
+    runs = []
+    for _ in range(draws):
+        z = _disk_point(rng, 1.0)
+        w = _disk_point(rng, 1.0)
+        runs.append(identity_suite(n, a, z, w))
+    swept = demoivre_sweep(n, a, draws, seed)
+    assert [r.identity for r in swept] == [r.identity for r in runs[0]]
+    params = {"n": n, "alpha": 1 + 0j, "branch": 0, "draws": draws, "seed": seed}
+    not_first = 0
+    for i, rep in enumerate(swept):
+        residuals = [run[i].residual for run in runs]
+        negative = rep.identity == "triple_product_h011"
+        assert rep.expect == ("gt" if negative else "le")
+        assert rep.residual == (min(residuals) if negative else max(residuals)), rep.identity
+        assert rep.tolerance == runs[0][i].tolerance and rep.params == params
+        not_first += rep.residual != residuals[0]
+    # the draws differ, so the reduction picks a later draw for most identities,
+    # the negative control among them
+    assert not_first >= len(swept) // 2
+    k = [r.identity for r in swept].index("triple_product_h011")
+    assert min(run[k].residual for run in runs) < runs[0][k].residual
+
+
+def test_sweep_keeps_the_first_of_equal_or_incomparable_residuals(monkeypatch):
+    nan = float("nan")
+    draws = iter([[(0.0, "le"), (nan, "le"), (1.0, "le"), (-0.0, "gt"), (2.0, "gt")],
+                  [(-0.0, "le"), (3.0, "le"), (nan, "le"), (0.0, "gt"), (nan, "gt")],
+                  [(0.0, "le"), (2.0, "le"), (0.5, "le"), (-0.0, "gt"), (1.0, "gt")]])
+
+    def fake_suite(n, a, z, w, trunc):
+        return [IdentityReport(f"id{k}", {}, res, 1.0, expect)
+                for k, (res, expect) in enumerate(next(draws))]
+
+    monkeypatch.setattr(demoivre, "identity_suite", fake_suite)
+    got = [r.residual for r in demoivre_sweep(2, alpha_root(1, 2), 3, 0)]
+    assert math.copysign(1, got[0]) == 1  # 0.0 first; -0.0 is no larger
+    assert math.isnan(got[1])  # nothing compares greater than nan
+    assert got[2] == 1.0  # nan is not greater than 1.0
+    assert math.copysign(1, got[3]) == -1  # -0.0 first; 0.0 is no smaller
+    assert got[4] == 1.0  # nan is not smaller than 2.0, 1.0 is
+
+
+def test_relative_residual_is_absolute_below_one_and_relative_above():
+    assert relative_residual(0.75, 0.5) == 0.25
+    assert relative_residual(1.25, 1.0) == 0.25
+    assert relative_residual(12.0, 8.0) == 0.5
+    assert relative_residual(8.0, 12.0) == 4.0 / 12.0
+    assert relative_residual(3 + 4j, 0) == 5.0
+    assert relative_residual(0, 3 + 4j) == 1.0
+    assert relative_residual(-1e300, 1e300) == 2.0
+    inf, nan = float("inf"), float("nan")
+    for bad in (inf, -inf, nan, complex(inf, 0), complex(0, nan), complex(inf, nan)):
+        for value, ref in ((bad, 1.0), (1.0, bad), (bad, bad)):
+            with pytest.raises(OverflowError):
+                relative_residual(value, ref)
 
 
 def test_report_serialization_shapes():

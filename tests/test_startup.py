@@ -38,6 +38,12 @@ def _numpy_free_commands(series_file):
                  "--z", "0.3+0.1i", "--method", m] for m in ("series", "closed", "both")]
     evaluate += [["eval", "--input", series_file, "--n", "2", "--z", "0.3", "--format", fmt]
                  for fmt in ("text", "json", "csv")]
+    # The exp and expq families build their closed-form kernel only at a
+    # closed-route call, so the series route needs no array.
+    evaluate += [["eval", *src, "--n", "3", "--alpha", "2+1i", "--s", "1", "--z", "0.3-0.2i",
+                  "--method", "series", "--format", fmt]
+                 for src in (["--builtin", "exp"], ["--builtin", "expq", "--q", "0.3"])
+                 for fmt in ("text", "json", "csv")]
     return usage + decompose + evaluate
 
 
