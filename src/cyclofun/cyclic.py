@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +35,7 @@ class CyclicContext:
     unimodular to machine precision and omega_power(n) is exactly 1.
     """
 
-    __slots__ = ("n", "omega", "omega_pow")
+    __slots__ = ("n", "omega_pow")
 
     def __init__(self, n: int):
         n = int(n)
@@ -42,7 +43,6 @@ class CyclicContext:
             raise ValueError(f"cyclic order must be at least 2, got {n}")
         self.n = n
         self.omega_pow = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
-        self.omega = self.omega_pow[1]
 
     def omega_power(self, k: int) -> complex:
         """omega**k for any integer k, reduced mod n through the table."""
@@ -100,6 +100,8 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
 
     The result keeps the input window; the coefficient at degree n*m + k is
     alpha**m times the input coefficient, and all other degrees are zero.
+    Component k at z is r**-k times the class sum at r z, so its radius is the
+    input radius over |r|; at alpha = 0 each class keeps one term and is entire.
     """
     if a.n != ctx.n:
         raise ValueError(f"root order {a.n} does not match context order {ctx.n}")
@@ -108,11 +110,16 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
     # Degrees n*m + k sit at offsets first, first + n, ...; the first has m = m0.
     first = (k - s.min_deg) % n
     m0 = (s.min_deg + first - k) // n
-    out = [0j] * len(s.coeffs)
+    kept = s.coeffs[first::n]
     # A zero stays itself: alpha**m may overflow where the coefficient is 0.
-    out[first::n] = [_class_weight(a.alpha, m) * c if c else c
-                     for m, c in enumerate(s.coeffs[first::n], m0)]
-    return TruncatedSeries(s.min_deg, out, label=s.label, domain=s.domain)
+    sieved = [_class_weight(a.alpha, m) * c if c else c for m, c in enumerate(kept, m0)]
+    out = [0j] * len(s.coeffs)
+    out[first::n] = sieved
+    radius = s.radius / abs(a.root) if a.alpha else math.inf
+    # A weight that underflows drops a term that a wider disk would expose.
+    if a.alpha and any(abs(v) < sys.float_info.min <= abs(c) for v, c in zip(sieved, kept)):
+        radius = min(radius, s.radius)
+    return TruncatedSeries(s.min_deg, out, label=s.label, radius=radius)
 
 
 def project_pointwise(f: Callable[[complex], complex], ctx: CyclicContext,
@@ -143,4 +150,4 @@ def omega_scale(s: TruncatedSeries, ctx: CyclicContext) -> TruncatedSeries:
     """
     out = tuple(c * ctx.omega_pow[d % ctx.n]
                 for d, c in zip(s.degrees(), s.coeffs))
-    return TruncatedSeries(s.min_deg, out, label=s.label, domain=s.domain)
+    return TruncatedSeries(s.min_deg, out, label=s.label, radius=s.radius)

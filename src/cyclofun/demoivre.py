@@ -113,7 +113,8 @@ def circulant_det_direct(m: np.ndarray) -> complex:
     """LU-based determinant, the independent oracle for the spectral route."""
     import numpy as np
 
-    return complex(np.linalg.det(np.asarray(m, dtype=complex)))
+    with np.errstate(all="ignore"):
+        return complex(np.linalg.det(np.asarray(m, dtype=complex)))
 
 
 def sylvester_matrix(ctx: CyclicContext) -> np.ndarray:
@@ -274,9 +275,8 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
         spectral, _rotated_product(cmath.exp, ctx, a, z)), tolerance=DET_TOLERANCE))
 
     geo = series_geometric(trunc)
-    # The sieved series needs |r z_g| <= 0.45, and its evaluation bound 0.9
-    # applies to z_g itself whatever r is; the floor on |r| keeps a pulled-in
-    # point at |z_g| <= 0.8, clear of that bound after rounding.
+    # A sieved component's radius is 0.9 / |r|; |r z_g| <= 0.45 is half of it.
+    # The floor on |r| keeps |z_g| <= 0.8: no radius needs it, pinned residuals do.
     r_abs = max(abs(a.root), 0.45 / 0.8)
     zg = z
     if r_abs * abs(z) > 0.45:

@@ -85,28 +85,23 @@ def build_family(n: int, a: AlphaRoot, trunc: int = DEFAULT_TRUNCATION) -> Hyper
 def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") -> complex:
     """Evaluate component s at z.
 
-    method "series" runs Horner on the stored window; "closed" averages the
-    base function over root-of-unity rotations of the scaled argument, which
-    needs alpha != 0 and an attached base function.  The closed route makes
-    all n components at once and keeps them for the next call at the same z.
-    It raises DomainError when its rounding bound, eps max|f| |r|**-s (the
-    transform's error scaled by the weight), exceeds 1e-9 max(1, |h_s|).
+    method "series" runs Horner on the stored window, inside the component's
+    radius; "closed", which no radius bounds, averages the base function over
+    root-of-unity rotations of the scaled argument (alpha != 0 and a base
+    function needed), makes all n components at once and keeps them for the
+    next call at the same z.  It raises DomainError when its rounding bound,
+    eps max|f| |r|**-s (the weight-scaled transform error), exceeds 1e-9 max(1, |h_s|).
     """
     s = int(s) % fam.ctx.n
     z = complex(z)
-    comp = fam.components[s]
     if method == "series":
-        return comp.evaluate(z)
+        return fam.components[s].evaluate(z)
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
     if fam._kernel is None:
         if fam.root.alpha == 0:
             raise ValueError("closed form needs alpha != 0; use the series method")
         raise ValueError("this family carries no base function for the closed form")
-    bound = comp.domain.max_abs_arg
-    if abs(z) > bound:
-        raise DomainError(
-            f"|z| = {abs(z):.6g} exceeds the evaluation bound {bound:.6g}")
     memo = fam._memo
     if memo is None or memo[0] != z:
         memo = (z, *_closed_components(fam, z))

@@ -23,7 +23,6 @@ from .reports import IdentityReport, relative_residual
 from .series import (
     DEFAULT_TRUNCATION,
     ENTIRE_MAX_ABS_ARG,
-    EvalDomain,
     TruncatedSeries,
     _checked,
     _ipow,
@@ -297,7 +296,7 @@ def series_exp_psi(ps: PsiSequence, trunc: int = DEFAULT_TRUNCATION) -> Truncate
         tail = coeffs[-1]
         if tail != 0 and len(coeffs) > 1:
             bound = min(ENTIRE_MAX_ABS_ARG, 0.9 * abs(coeffs[-2] / tail))
-    return TruncatedSeries(0, coeffs, label="exp_psi", domain=EvalDomain(bound))
+    return TruncatedSeries(0, coeffs, label="exp_psi", radius=bound)
 
 
 def build_psi_hyperbolic(ps: PsiSequence, ctx: CyclicContext, a: AlphaRoot,
@@ -314,12 +313,12 @@ def Polynomial(coeffs: Sequence[complex]) -> TruncatedSeries:
     """Dense polynomial with ascending coefficients, as a power series.
 
     Trailing zeros are trimmed here, once; the zero polynomial keeps a single
-    0 entry.  A polynomial is entire, so its evaluation domain is unbounded.
+    0 entry.  A polynomial is entire, so its evaluation radius is unbounded.
     """
     cs = list(coeffs)
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
-    return TruncatedSeries(0, cs or [0j], domain=EvalDomain(math.inf))
+    return TruncatedSeries(0, cs or [0j], radius=math.inf)
 
 
 # -- Laguerre-type basic sequence -------------------------------------------------

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "DomainError",
-    "EvalDomain",
     "TruncatedSeries",
     "make_series",
     "series_exp",
@@ -39,23 +37,11 @@ class DomainError(ValueError):
     """Raised when an argument lies outside a series' evaluation domain."""
 
 
-@dataclass(frozen=True)
-class EvalDomain:
-    """Evaluation is restricted to the closed disk |z| <= max_abs_arg."""
-
-    max_abs_arg: float = ENTIRE_MAX_ABS_ARG
-
-
 def _checked(value, what: str) -> complex:
     v = complex(value)
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return v
-
-
-def _narrower(a: EvalDomain, b: EvalDomain) -> EvalDomain:
-    """The domain of a sum or product: the smaller of the two disks."""
-    return a if a.max_abs_arg <= b.max_abs_arg else b
 
 
 def _ipow(base: complex, exponent: int) -> complex:
@@ -70,12 +56,15 @@ def _ipow(base: complex, exponent: int) -> complex:
 
 
 class TruncatedSeries:
-    """Finite window of Laurent coefficients a_k for k in [min_deg, max_deg]."""
+    """Finite window of Laurent coefficients a_k for k in [min_deg, max_deg].
 
-    __slots__ = ("min_deg", "max_deg", "coeffs", "label", "domain")
+    Evaluation is restricted to the closed disk |z| <= radius.
+    """
+
+    __slots__ = ("min_deg", "max_deg", "coeffs", "label", "radius")
 
     def __init__(self, min_deg: int, coeffs: Sequence[complex], label: str | None = None,
-                 domain: EvalDomain | None = None):
+                 radius: float = ENTIRE_MAX_ABS_ARG):
         cs = tuple(map(complex, coeffs))
         if not cs:
             raise ValueError("a series needs at least one coefficient")
@@ -86,7 +75,7 @@ class TruncatedSeries:
         self.max_deg = self.min_deg + len(cs) - 1
         self.coeffs = cs
         self.label = label
-        self.domain = domain if domain is not None else EvalDomain()
+        self.radius = radius
 
     # -- inspection ---------------------------------------------------------
 
@@ -109,14 +98,13 @@ class TruncatedSeries:
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation, negative and nonnegative halves separately.
 
-        Raises DomainError if |z| exceeds the evaluation domain, or if z == 0
-        while the window contains negative degrees.
+        Raises DomainError if |z| exceeds the radius, or if z == 0 while the
+        window contains negative degrees.
         """
         z = complex(z)
-        if abs(z) > self.domain.max_abs_arg:
+        if abs(z) > self.radius:
             raise DomainError(
-                f"|z| = {abs(z):.6g} exceeds the evaluation bound "
-                f"{self.domain.max_abs_arg:.6g}")
+                f"|z| = {abs(z):.6g} exceeds the evaluation bound {self.radius:.6g}")
         if self.min_deg < 0 and z == 0:
             raise DomainError("z = 0 is outside the domain of a negative-degree window")
         total = 0j
@@ -144,18 +132,15 @@ class TruncatedSeries:
         # A zero stays itself: lam**d may overflow where the coefficient is 0.
         scaled = tuple(c * _ipow(lam, d) if c else c
                        for d, c in zip(self.degrees(), self.coeffs))
-        if lam == 0:
-            dom = self.domain
-        else:
-            dom = EvalDomain(self.domain.max_abs_arg / abs(lam))
-        return TruncatedSeries(self.min_deg, scaled, label=self.label, domain=dom)
+        radius = self.radius / abs(lam) if lam else self.radius
+        return TruncatedSeries(self.min_deg, scaled, label=self.label, radius=radius)
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise d/dz; the degree-0 term dies, all others shift down."""
         return _termwise_lower(self, complex)
 
     def with_label(self, label: str | None) -> "TruncatedSeries":
-        return TruncatedSeries(self.min_deg, self.coeffs, label=label, domain=self.domain)
+        return TruncatedSeries(self.min_deg, self.coeffs, label=label, radius=self.radius)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -172,13 +157,13 @@ class TruncatedSeries:
             return NotImplemented
         a, b = _aligned(self, o)
         return TruncatedSeries(min(self.min_deg, o.min_deg), [x + y for x, y in zip(a, b)],
-                               domain=_narrower(self.domain, o.domain))
+                               radius=min(self.radius, o.radius))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.min_deg, [-c for c in self.coeffs],
-                               label=self.label, domain=self.domain)
+                               label=self.label, radius=self.radius)
 
     def __sub__(self, other) -> "TruncatedSeries":
         o = self._coerce(other)
@@ -196,7 +181,7 @@ class TruncatedSeries:
         if isinstance(other, (int, float, complex)):
             w = _checked(other, "scalar")
             return TruncatedSeries(self.min_deg, [c * w for c in self.coeffs],
-                                   label=self.label, domain=self.domain)
+                                   label=self.label, radius=self.radius)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         lo = self.min_deg + other.min_deg
@@ -207,7 +192,7 @@ class TruncatedSeries:
 
         # Full convolution, then cut at the cap: entry d - lo is degree d.
         out = np.convolve(self.coeffs, other.coeffs)[:hi - lo + 1].tolist()
-        return TruncatedSeries(lo, out, domain=_narrower(self.domain, other.domain))
+        return TruncatedSeries(lo, out, radius=min(self.radius, other.radius))
 
     __rmul__ = __mul__
 
@@ -222,17 +207,17 @@ def _termwise_lower(s: TruncatedSeries, number: Callable[[int], complex]) -> Tru
     first = 1 if s.min_deg == 0 else s.min_deg
     last = -1 if s.max_deg == 0 else s.max_deg
     if first > last:
-        return TruncatedSeries(0, (0j,), label=s.label, domain=s.domain)
+        return TruncatedSeries(0, (0j,), label=s.label, radius=s.radius)
     kept = s.coeffs[first - s.min_deg:last - s.min_deg + 1]
     # A zero stays zero; sieved inputs are mostly zeros, and number(d) may be costly.
     coeffs = [number(d) * c if c else c for d, c in zip(range(first, last + 1), kept)]
-    return TruncatedSeries(first - 1, coeffs, label=s.label, domain=s.domain)
+    return TruncatedSeries(first - 1, coeffs, label=s.label, radius=s.radius)
 
 
 # -- constructors -------------------------------------------------------------
 
-def make_series(terms: Iterable[tuple[int, complex]], label: str | None = None,
-                domain: EvalDomain | None = None) -> TruncatedSeries:
+def make_series(terms: Iterable[tuple[int, complex]],
+                label: str | None = None) -> TruncatedSeries:
     """Build a series from (degree, coefficient) pairs.
 
     The window spans the min to max supplied degree; unsupplied interior
@@ -248,7 +233,7 @@ def make_series(terms: Iterable[tuple[int, complex]], label: str | None = None,
         raise ValueError("no terms supplied")
     lo, hi = min(seen), max(seen)
     coeffs = tuple(seen.get(d, 0j) for d in range(lo, hi + 1))
-    return TruncatedSeries(lo, coeffs, label=label, domain=domain)
+    return TruncatedSeries(lo, coeffs, label=label)
 
 
 def constant_series(value: complex, label: str | None = None) -> TruncatedSeries:
@@ -270,8 +255,7 @@ def series_exp(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
             break
         coeffs.append(c + 0j)
     coeffs += [0j] * (trunc + 1 - len(coeffs))
-    return TruncatedSeries(0, coeffs, label="exp",
-                           domain=EvalDomain(ENTIRE_MAX_ABS_ARG))
+    return TruncatedSeries(0, coeffs, label="exp")
 
 
 def series_geometric(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -279,7 +263,7 @@ def series_geometric(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     if trunc < 0:
         raise ValueError("truncation order must be nonnegative")
     return TruncatedSeries(0, (1 + 0j,) * (trunc + 1), label="geometric",
-                           domain=EvalDomain(GEOMETRIC_MAX_ABS_ARG))
+                           radius=GEOMETRIC_MAX_ABS_ARG)
 
 
 # -- serialization ------------------------------------------------------------

@@ -11,6 +11,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.demoivre import (
     circulant_det_direct,
@@ -32,6 +34,7 @@ from cyclofun.qpsi import (
     verify_generating_function,
 )
 from cyclofun.series import (
+    DomainError,
     coeff_residual,
     make_series,
     series_exp,
@@ -234,19 +237,30 @@ def test_criterion_6_deformed_calculus():
 
 
 def test_criterion_7_generating_function_routes():
+    # The q = 0.5 exponential's evaluation bound is 1.8 (its radius of
+    # convergence is 2); q = 2 is entire with the standard bound 4.  A point
+    # with |r x z| past the bound is refused, not compared truncation to
+    # truncation.
+    refused = set()
     with criterion(7, "deformed generating function agrees on both routes", 2.0):
-        for q in (0.5, 2.0):
+        for q, bound in ((0.5, 1.8), (2.0, 4.0)):
             ps = PsiSequence.q_deformation(q)
             for n in (2, 3, 4):
                 ctx = make_context(n)
                 for alpha in (1, -1, 2):
                     a = alpha_root(alpha, n)
                     for s in range(n):
-                        for x, z in ((1.2, 1.2), (0.9, -1.1), (-0.8, 0.5)):
+                        for x, z in ((1.1, 1.1), (1.2, 1.2), (0.9, -1.1), (-0.8, 0.5)):
+                            if abs(a.root * x * z) > bound:
+                                refused.add((q, n, alpha, x, z))
+                                with pytest.raises(DomainError):
+                                    verify_generating_function(ps, ctx, a, s, x, z, trunc=48)
+                                continue
                             rep = verify_generating_function(
                                 ps, ctx, a, s, x, z, trunc=48)
                             assert rep.passed, (q, n, alpha, s, x, z,
                                                 rep.residual)
+    assert refused == {(0.5, 2, 2, 1.2, 1.2), (0.5, 3, 2, 1.2, 1.2)}
 
 
 def test_criterion_8_cli_verification_battery():

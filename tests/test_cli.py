@@ -106,6 +106,52 @@ def test_eval_domain_violation_exits_4(capsys):
     assert "domain" in err
 
 
+def test_eval_closed_route_is_not_bounded_by_the_series_disk(capsys):
+    code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", "2",
+                             "--z", "5", "--method", "closed")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].startswith("closed: 74.209948524787848")
+    # exp(800) is past double range: the closed route's own overflow check
+    code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", "2",
+                             "--z", "800", "--method", "closed")
+    assert code == 4 and out == ""
+    assert err == "domain error: numeric overflow (closed form overflows at z = (800+0j))\n"
+
+
+def test_eval_series_route_uses_the_sieved_radius(capsys):
+    # |r z| = 1.6 is outside the geometric bound 0.9: the radius is 0.9 / 2
+    for cmd in ("eval", "det"):
+        code, out, err = run_cli(capsys, cmd, "--builtin", "geometric", "--n", "2",
+                                 "--alpha", "4", "--z", "0.8")
+        assert code == 4 and out == "", cmd
+        assert err == "domain error: |z| = 0.8 exceeds the evaluation bound 0.45\n", cmd
+    code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", "2",
+                             "--alpha", "1e4", "--z", "4", "--method", "both")
+    assert code == 4 and out == "" and err.count("\n") == 1
+    # |r z| = 0.754 is inside the bound 0.9 although |z| = 0.95 is not.  Only
+    # the disk is asserted: the value's truncation error is left to tail bounds.
+    assert 0.5 ** (1 / 3) * 0.95 < 0.9
+    code, out, err = run_cli(capsys, "eval", "--builtin", "geometric", "--n", "3",
+                             "--alpha", "0.5", "--z", "0.95", "--method", "series")
+    assert code == 0 and err == "" and out.splitlines()[1].startswith("series: ")
+
+
+def test_eval_series_route_keeps_the_base_disk_when_weights_underflow(capsys):
+    # alpha**m underflows to 0 for the higher classes, so the sieved series
+    # lost those terms and the disk 4 / |r| would print a truncated value.
+    for builtin, alpha, z, bound in (("exp", "1e-100", "3e50", "4"),
+                                     ("geometric", "1e-40", "8.5e19", "0.9")):
+        code, out, err = run_cli(capsys, "eval", "--builtin", builtin, "--n", "2",
+                                 "--alpha", alpha, "--z", z, "--method", "series")
+        assert code == 4 and out == "", builtin
+        assert err == (f"domain error: |z| = {float(z):.6g} exceeds the "
+                       f"evaluation bound {bound}\n"), builtin
+    # Inside the base disk the lost terms are far below rounding: cosh(r z).
+    code, out, _ = run_cli(capsys, "eval", "--builtin", "exp", "--n", "2",
+                           "--alpha", "1e-100", "--z", "3", "--method", "series")
+    assert code == 0 and out.splitlines()[1] == "series: 1"
+
+
 def test_eval_geometric_closed_form(capsys):
     code, out, _ = run_cli(capsys, "eval", "--builtin", "geometric", "--n", "3",
                            "--s", "1", "--z", "0.3", "--method", "closed",
@@ -276,6 +322,36 @@ def test_verify_csv_header(capsys):
     assert out.splitlines()[0] == "identity,n,alpha_re,alpha_im,residual,pass"
 
 
+def test_det_csv_row(capsys):
+    code, out, _ = run_cli(capsys, "det", "--components", "1,2,3", "--n", "3",
+                           "--format", "csv")
+    assert code == 0
+    header, row, *rest = out.splitlines()
+    assert rest == []
+    assert header == ("n,alpha_re,alpha_im,det_spectral_re,det_spectral_im,"
+                      "det_direct_re,det_direct_im,difference,pass")
+    fields = row.split(",")
+    assert fields[:3] == ["3", "1", "0"] and fields[-1] == "true"
+    # 1 + 8 + 27 - 3 * 1 * 2 * 3 = 18, printed round-trip (17 significant digits)
+    nums = [float(x) for x in fields[3:-1]]
+    assert [f"{x:.17g}" for x in nums] == fields[3:-1]
+    spec_re, spec_im, dir_re, dir_im, diff = nums
+    assert abs(complex(spec_re, spec_im) - 18) <= 1e-13
+    assert abs(complex(dir_re, dir_im) - 18) <= 1e-13
+    assert 0 <= diff <= 1e-15
+
+
+def test_verify_csv_leaves_missing_alpha_columns_empty(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "qpsi", "--format", "csv")
+    assert code == 0
+    rows = {line.split(",")[0]: line.split(",") for line in out.splitlines()[1:]}
+    # reports without n or alpha leave those columns empty; n alone fills its own
+    assert rows["q_leibniz"][1:4] == ["", "", ""]
+    assert rows["derivative_ladder_n2"][1:4] == ["2", "", ""]
+    assert rows["generating_function"][1:4] == ["3", "1", "0"]
+    assert all(len(r) == 6 and r[5] == "true" for r in rows.values())
+
+
 def test_det_identity_components(capsys):
     code, out, _ = run_cli(capsys, "det", "--components", "1,0,0", "--n", "3",
                            "--format", "json")
@@ -342,16 +418,15 @@ def test_overflow_is_a_domain_error(capsys):
         assert err.startswith("domain error:") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_det_that_overflows_is_a_domain_error(capsys):
-    # Both determinants are inf+nan here, so there is no difference to print.
+    # Both determinants are inf+nan here, so there is no difference to print;
+    # the LU route overflows quietly and the one line on stderr is the error.
     for fmt in ("text", "json", "csv"):
         code, out, err = run_cli(capsys, "det", "--components", "1e120,2e120,3e120",
                                  "--n", "3", "--format", fmt)
         assert code == 4, fmt
         assert out == ""
-        assert err.splitlines()[-1].startswith("domain error: numeric overflow ("), fmt
+        assert err.startswith("domain error: numeric overflow (") and err.count("\n") == 1, fmt
 
 
 def test_module_entry_point_smoke():

@@ -15,6 +15,7 @@ from cyclofun.cyclic import (
     project_series,
 )
 from cyclofun.series import (
+    DomainError,
     TruncatedSeries,
     coeff_close,
     make_series,
@@ -98,7 +99,41 @@ def test_sieve_keeps_window_label_and_domain():
     p = project_series(s, ctx, 0, alpha_root(1, 2))
     assert p.min_deg == s.min_deg and p.max_deg == s.max_deg
     assert p.label == s.label
-    assert p.domain.max_abs_arg == s.domain.max_abs_arg
+    assert p.radius == s.radius
+
+
+def test_sieve_divides_the_radius_by_the_root():
+    # Component k at z is r**-k times the class sum at r z, so the sieved
+    # series converges on the base disk divided by |r|.
+    geo = series_geometric(40)
+    for n, alpha, want in ((2, 4, 0.45), (3, 8, 0.45), (2, 0.25, 1.8), (4, -16, 0.45),
+                           (2, 2j, 0.9 / math.sqrt(2))):
+        a = alpha_root(alpha, n)
+        for k in range(n):
+            p = project_series(geo, make_context(n), k, a)
+            assert p.radius == pytest.approx(want, rel=1e-15)
+    # alpha = 0 keeps one term per class, a polynomial.
+    zero = project_series(series_exp(8), make_context(3), 1, alpha_root(0, 3))
+    assert zero.radius == math.inf
+    assert zero.evaluate(1e6) == 1e6
+    # The scaled disk is enforced: |r z| = 1.6 is outside the base bound 0.9.
+    p = project_series(geo, make_context(2), 0, alpha_root(4, 2))
+    with pytest.raises(DomainError, match=r"\|z\| = 0.8 exceeds the evaluation bound 0.45"):
+        p.evaluate(0.8)
+    assert p.evaluate(0.2) == pytest.approx(1 / (1 - 4 * 0.2 ** 2), rel=1e-14)
+
+
+def test_sieve_keeps_the_input_radius_once_a_coefficient_underflows():
+    exp = series_exp(30)
+    ctx = make_context(2)
+    # (1e-100)**4 == 0 drops a weight; (1e-20)**15 / 30! is below normal range.
+    for alpha in (1e-100, 1e-20):
+        assert project_series(exp, ctx, 0, alpha_root(alpha, 2)).radius == exp.radius
+    # Every sieved coefficient normal: the radius still widens.
+    assert project_series(exp, ctx, 0, alpha_root(1e-4, 2)).radius == pytest.approx(
+        exp.radius / 1e-2, rel=1e-15)
+    # Only widening is undone; a large root still shrinks the disk.
+    assert project_series(exp, ctx, 1, alpha_root(1e4, 2)).radius == exp.radius / 100
 
 
 def test_sieve_weights_negative_classes():

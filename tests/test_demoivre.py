@@ -129,6 +129,16 @@ def test_both_routes_match_scipy_expm():
                     assert cheb_norm(got - want) <= 1e-12 * scale, (n, alpha, z, route)
 
 
+def test_assembled_route_matches_expm_beyond_the_series_disk():
+    # The closed route is bounded by its own guards, not by the series radius
+    # 4, so the assembled circulant holds far outside it.
+    linalg = pytest.importorskip("scipy.linalg")
+    for n, alpha, z in ((2, -1, 10), (2, -1, 20), (2, -1, 30), (2, 1, 30), (8, -1, 25j)):
+        want = linalg.expm(generator_matrix(n, alpha) * z)
+        got = demoivre_matrix(n, alpha_root(alpha, n), z, "assembled")
+        assert cheb_norm(got - want) <= 1e-13 * cheb_norm(want), (n, alpha, z)
+
+
 def test_matrix_satisfies_the_shift_ode():
     n, a = 3, alpha_root(1, 3)
     g = generator_matrix(3, 1)

@@ -115,9 +115,10 @@ def test_closed_memo_never_returns_another_points_values():
         for point in (z, w, z, z, w):
             want = h_eval(fam, s, point, "series")
             assert abs(h_eval(fam, s, point, "closed") - want) <= 1e-13 * max(1.0, abs(want))
-    # the checks still run when the point is already computed
-    with pytest.raises(DomainError):
-        h_eval(fam, 0, 5.0 * z / abs(z), "closed")
+    # the closed route's own guards still run, and a refused point leaves the
+    # memo on the earlier point
+    with pytest.raises(OverflowError):
+        h_eval(fam, 0, 800 * z / abs(z), "closed")
     assert fam._memo[0] == w
 
 
@@ -164,9 +165,19 @@ def test_unknown_method_rejected():
 
 
 def test_closed_evaluation_respects_domain():
+    # The closed route is bounded by its own guards, not by the series disk
+    # (radius 4 here): beyond that disk it agrees with mpmath.
     fam = build_family(2, alpha_root(1, 2))
     with pytest.raises(DomainError):
-        h_eval(fam, 0, 5.0, "closed")
+        h_eval(fam, 0, 5.0, "series")
+    for z in (5.0, -6.5, 3 + 4j):
+        for s, f in enumerate((mpmath.cosh, mpmath.sinh)):
+            with mpmath.workdps(30):
+                want = complex(f(mpmath.mpc(z)))
+            assert abs(h_eval(fam, s, z, "closed") - want) <= 1e-15 * abs(want), (z, s)
+    # it still refuses a point where exp overflows
+    with pytest.raises(OverflowError, match="closed form overflows at z = "):
+        h_eval(fam, 0, 800.0, "closed")
 
 
 def test_geometric_closed_form_values():

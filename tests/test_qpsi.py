@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cyclofun.qpsi import (
 )
 from cyclofun.reports import all_pass
 from cyclofun.series import (
+    DomainError,
     TruncatedSeries,
     _termwise_lower,
     coeff_residual,
@@ -190,10 +192,31 @@ def test_deformed_exponential_shapes():
     s = series_exp_psi(ps, 8)
     assert s.coeff(0) == 1
     assert s.coeff(2) == 2 / 3
-    assert s.domain.max_abs_arg == pytest.approx(1.8)
-    assert series_exp_psi(PsiSequence.q_deformation(2.0), 8).domain.max_abs_arg == 4.0
+    assert s.radius == pytest.approx(1.8)
+    assert series_exp_psi(PsiSequence.q_deformation(2.0), 8).radius == 4.0
     with pytest.raises(ValueError):
         series_exp_psi(PsiSequence.q_deformation(0.5, cap=4), 5)
+
+
+def test_complex_q_factorials_past_double_range_give_zero_weights():
+    # Complex arithmetic turns the overflowing factorial into nan parts; the
+    # clamp pins it to inf, so the weight is exactly 0.0 from there on.
+    q = 2 + 1j
+    ps = PsiSequence.q_deformation(q)
+    log_fact, first_past = 0.0, None
+    for n in range(1, 257):
+        log_fact += math.log(abs((1 - q ** n) / (1 - q)))
+        if first_past is None and log_fact > math.log(sys.float_info.max):
+            first_past = n
+    assert first_past == 42
+    for n in range(257):
+        w = ps.psi_weight(n)
+        if n < first_past:
+            assert cmath.isfinite(w) and w != 0, n
+        else:
+            assert w == 0.0 and isinstance(w, float), n
+    s = series_exp_psi(ps, 256)
+    assert s.coeff(first_past - 1) != 0 and s.coeffs[first_past:] == (0j,) * (257 - first_past)
 
 
 def test_all_ones_weights_give_the_geometric_series():
@@ -201,7 +224,7 @@ def test_all_ones_weights_give_the_geometric_series():
     s = series_exp_psi(ps, 16)
     assert all(c == 1 for c in s.coeffs)
     assert ps.number(5) == 1 and ps.binomial(6, 2) == 1
-    assert s.domain.max_abs_arg == pytest.approx(0.9)
+    assert s.radius == pytest.approx(0.9)
 
 
 def test_explicit_weights_validation():
@@ -365,9 +388,18 @@ def test_generating_function_dual_route():
             for alpha in (1, -1, 2):
                 a = alpha_root(alpha, n)
                 for s in range(n):
-                    rep = verify_generating_function(ps, ctx, a, s, 1.2, 1.2,
+                    rep = verify_generating_function(ps, ctx, a, s, 1.1, 1.1,
                                                      trunc=48)
                     assert rep.passed, (q, n, alpha, s, rep.residual)
+                    # |r x z| = 2.04 (n = 2) and 1.81 (n = 3) pass the q = 0.5
+                    # bound 1.8, so that point is refused; elsewhere it passes.
+                    if q == 0.5 and alpha == 2:
+                        with pytest.raises(DomainError):
+                            verify_generating_function(ps, ctx, a, s, 1.2, 1.2, trunc=48)
+                    else:
+                        rep = verify_generating_function(ps, ctx, a, s, 1.2, 1.2,
+                                                         trunc=48)
+                        assert rep.passed, (q, n, alpha, s, rep.residual)
 
 
 def test_generating_function_at_origin_is_exact():

@@ -93,7 +93,7 @@ def test_scale_argument_on_laurent_degrees():
     t = s.scale_argument(2)
     assert t.coeff(-1) == 0.5
     assert t.coeff(2) == 12
-    assert t.domain.max_abs_arg == pytest.approx(2.0)
+    assert t.radius == pytest.approx(2.0)
     with pytest.raises(ValueError):
         s.scale_argument(0)
 
@@ -323,9 +323,9 @@ def test_product_overflow_is_a_value_error():
 
 def test_domain_narrows_under_combination():
     mixed = series_exp(4) + series_geometric(4)
-    assert mixed.domain.max_abs_arg == pytest.approx(0.9)
+    assert mixed.radius == pytest.approx(0.9)
     prod = series_exp(4) * series_geometric(4)
-    assert prod.domain.max_abs_arg == pytest.approx(0.9)
+    assert prod.radius == pytest.approx(0.9)
 
 
 def test_series_json_round_trip():
