@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .series import TruncatedSeries, _ipow
+from .series import TruncatedSeries, _ipow, _scaled_radius
 
 __all__ = [
     "CyclicContext",
@@ -115,10 +114,7 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
     sieved = [_class_weight(a.alpha, m) * c if c else c for m, c in enumerate(kept, m0)]
     out = [0j] * len(s.coeffs)
     out[first::n] = sieved
-    radius = s.radius / abs(a.root) if a.alpha else math.inf
-    # A weight that underflows drops a term that a wider disk would expose.
-    if a.alpha and any(abs(v) < sys.float_info.min <= abs(c) for v, c in zip(sieved, kept)):
-        radius = min(radius, s.radius)
+    radius = _scaled_radius(s.radius, a.root, kept, sieved) if a.alpha else math.inf
     return TruncatedSeries(s.min_deg, out, label=s.label, radius=radius)
 
 

@@ -71,14 +71,15 @@ def q_number(q, k: int):
     k = int(k)
     if k < 0:
         return -(q ** k) * q_number(q, -k)
-    return _q_numbers(type(q), q).get(k)
+    return _q_numbers(type(q), q).upto(k)[k]
 
 
 class _QNumbers:
     """[0]_q, [1]_q, ... for one q, grown on demand by the running sum.
 
     The table and the next power are replaced together as one tuple, so a
-    reader never sees a table that is still being extended.
+    reader never sees a table that is still being extended, and a returned
+    table is never changed.
     """
 
     __slots__ = ("q", "_state")
@@ -87,10 +88,11 @@ class _QNumbers:
         self.q = q
         self._state = ([0], 1)
 
-    def get(self, k: int):
+    def upto(self, k: int) -> list:
+        """The table, grown to at least k + 1 entries."""
         totals, power = self._state
         if k < len(totals):
-            return totals[k]
+            return totals
         totals = list(totals)
         total, q = totals[-1], self.q
         for _ in range(len(totals), max(k + 1, 2 * len(totals))):
@@ -98,7 +100,7 @@ class _QNumbers:
             power *= q
             totals.append(total)
         self._state = (totals, power)
-        return totals[k]
+        return totals
 
 
 @lru_cache(maxsize=64)
@@ -108,29 +110,35 @@ def _q_numbers(kind: type, q) -> _QNumbers:
     return _QNumbers(q)
 
 
-def _clamp_overflow(value):
-    """Complex arithmetic can turn an overflow into nan; pin it back to inf
-    so downstream reciprocals give a clean 0.0."""
-    if isinstance(value, complex):
-        if cmath.isnan(value) or cmath.isinf(value):
-            return math.inf
-    return value
-
-
 class PsiSequence:
     """Deformed integer sequence with factorials, binomials, and weights.
 
     kind "q" stores the deformation parameter; "classical" is n_psi = n;
-    "explicit" takes the exponential weights psi_n = 1/n_psi! directly.
-    Factorials may overflow to infinity for |q| > 1; the corresponding
-    weights are then exactly zero, which every consumer here tolerates.
+    "explicit" keeps the given exponential weights psi_n = 1/n_psi!.  The
+    tables are built once, up to the cap, and never change, so threads may
+    share a sequence.  Factorials may overflow to infinity for |q| > 1; the
+    corresponding weights are then exactly zero, which every consumer here
+    tolerates.
     """
 
-    __slots__ = ("kind", "q", "cap", "_numbers", "_fact")
+    __slots__ = ("kind", "q", "cap", "_numbers", "_fact", "_weights")
 
     def __init__(self, kind: str, q=None, cap: int = PSI_CAP,
                  weights: Sequence[complex] | None = None):
         self.kind = kind
+        self.q = None
+        if kind == "explicit":
+            if not weights:
+                raise ValueError("explicit sequences need a weight list")
+            ws = tuple(_checked(w, "weight") for w in weights)
+            if ws[0] != 1:
+                raise ValueError("the degree-0 weight must be 1")
+            if any(w == 0 for w in ws):
+                raise ValueError("explicit weights must be nonzero")
+            cap = len(ws) - 1
+        self.cap = int(cap)
+        if self.cap < 0:
+            raise ValueError(f"the sequence cap must be nonnegative, got {self.cap}")
         if kind == "q":
             qc = complex(q)
             if not (math.isfinite(qc.real) and math.isfinite(qc.imag)):
@@ -140,36 +148,29 @@ class PsiSequence:
                                  "use PsiSequence.classical()")
             # Real q stays in float arithmetic so overflow is inf, not nan.
             self.q = qc.real if qc.imag == 0.0 else qc
-            self.cap = int(cap)
-            nums = [0]
-            for n in range(1, self.cap + 1):
-                v = q_number(self.q, n)
+            table = _q_numbers(type(self.q), self.q).upto(self.cap)
+            self._numbers = tuple(table[:self.cap + 1])
+            for n, v in enumerate(self._numbers[1:], 1):
                 if abs(v) < NUMBER_FLOOR:
                     raise ValueError(
                         f"[{n}]_q vanishes for q = {qc}; the deformation is "
                         "degenerate at a root of unity")
-                nums.append(v)
-            self._numbers = nums
-            self._fact = [1.0]
         elif kind == "classical":
-            self.q = None
-            self.cap = int(cap)
-            self._numbers = list(range(self.cap + 1))
-            self._fact = [1.0]
+            self._numbers = range(self.cap + 1)
         elif kind == "explicit":
-            if not weights:
-                raise ValueError("explicit sequences need a weight list")
-            ws = [_checked(w, "weight") for w in weights]
-            if ws[0] != 1:
-                raise ValueError("the degree-0 weight must be 1")
-            if any(w == 0 for w in ws):
-                raise ValueError("explicit weights must be nonzero")
-            self.q = None
-            self.cap = len(ws) - 1
-            self._numbers = [0] + [ws[n - 1] / ws[n] for n in range(1, len(ws))]
-            self._fact = [1.0]
+            self._numbers = (0,) + tuple(ws[n - 1] / ws[n] for n in range(1, len(ws)))
         else:
             raise ValueError(f"unknown sequence kind {kind!r}")
+        fact = [1.0]
+        for v in self._numbers[1:]:
+            f = fact[-1] * v
+            # Complex arithmetic can turn an overflow into nan; pin it to inf.
+            fact.append(math.inf if isinstance(f, complex) and not cmath.isfinite(f) else f)
+        self._fact = tuple(fact)
+        # An overflowed factorial weighs 0.0; one that underflowed, inf.
+        self._weights = ws if kind == "explicit" else tuple(
+            0.0 if isinstance(f, float) and math.isinf(f) else 1 / f if f else math.inf
+            for f in fact)
 
     @classmethod
     def q_deformation(cls, q, cap: int = PSI_CAP) -> "PsiSequence":
@@ -188,29 +189,23 @@ class PsiSequence:
             return f"PsiSequence(q={self.q!r}, cap={self.cap})"
         return f"PsiSequence({self.kind}, cap={self.cap})"
 
-    def number(self, n: int):
-        """n_psi; zero at n = 0."""
+    def _index(self, n: int) -> int:
         n = int(n)
         if n < 0 or n > self.cap:
             raise ValueError(f"index {n} outside the sequence cap {self.cap}")
-        return self._numbers[n]
+        return n
+
+    def number(self, n: int):
+        """n_psi; zero at n = 0."""
+        return self._numbers[self._index(n)]
 
     def factorial(self, n: int):
         """n_psi! as a cumulative product; overflows saturate at inf."""
-        n = int(n)
-        if n < 0 or n > self.cap:
-            raise ValueError(f"index {n} outside the sequence cap {self.cap}")
-        while len(self._fact) <= n:
-            m = len(self._fact)
-            self._fact.append(_clamp_overflow(self._fact[-1] * self._numbers[m]))
-        return self._fact[n]
+        return self._fact[self._index(n)]
 
     def psi_weight(self, n: int):
         """The exponential weight psi_n = 1 / n_psi!."""
-        f = self.factorial(n)
-        if isinstance(f, float) and math.isinf(f):
-            return 0.0
-        return 1 / f
+        return self._weights[self._index(n)]
 
     def binomial(self, n: int, k: int):
         """Deformed binomial via a falling product, dodging inf/inf.
@@ -222,10 +217,7 @@ class PsiSequence:
             return 0.0
         if k == 0 or k == n:
             return 1.0
-        falling = 1
-        for j in range(n - k + 1, n + 1):
-            falling *= self.number(j)
-        return falling / self.factorial(k)
+        return math.prod(self._numbers[n - k + 1:self._index(n) + 1]) / self._fact[k]
 
 
 def psi_sequence_to_json(ps: PsiSequence) -> dict:
@@ -233,8 +225,7 @@ def psi_sequence_to_json(ps: PsiSequence) -> dict:
         return {"kind": "q", "q": _pair(ps.q), "cap": ps.cap}
     if ps.kind == "classical":
         return {"kind": "classical", "cap": ps.cap}
-    return {"kind": "explicit",
-            "weights": [_pair(ps.psi_weight(n)) for n in range(ps.cap + 1)]}
+    return {"kind": "explicit", "weights": [_pair(w) for w in ps._weights]}
 
 
 def psi_sequence_from_json(obj: dict) -> PsiSequence:
@@ -288,7 +279,7 @@ def series_exp_psi(ps: PsiSequence, trunc: int = DEFAULT_TRUNCATION) -> Truncate
         raise ValueError("truncation order must be nonnegative")
     if trunc > ps.cap:
         raise ValueError(f"truncation {trunc} exceeds the sequence cap {ps.cap}")
-    coeffs = tuple(complex(ps.psi_weight(n)) for n in range(trunc + 1))
+    coeffs = tuple(map(complex, ps._weights[:trunc + 1]))
     bound = ENTIRE_MAX_ABS_ARG
     if ps.kind == "q" and abs(ps.q) < 1:
         bound = 0.9 / abs(1 - ps.q)
@@ -335,13 +326,9 @@ def q_laguerre(n: int, q) -> TruncatedSeries:
         raise ValueError("the sequence index must be nonnegative")
     if n == 0:
         return Polynomial([1])
-    coeffs: list[complex] = [0j] * (n + 1)
-    for k in range(1, n + 1):
-        quot = 1
-        for j in range(k + 1, n + 1):
-            quot *= q_number(q, j)
-        coeffs[k] = (-1) ** k * math.comb(n - 1, k - 1) * quot
-    return Polynomial(coeffs)
+    nums = _q_numbers(type(q), q).upto(n)
+    return Polynomial([0j] + [(-1) ** k * math.comb(n - 1, k - 1)
+                              * math.prod(nums[k + 1:n + 1]) for k in range(1, n + 1)])
 
 
 def laguerre_family(nmax: int, q) -> list[TruncatedSeries]:

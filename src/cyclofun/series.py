@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -53,6 +54,16 @@ def _ipow(base: complex, exponent: int) -> complex:
             raise ZeroDivisionError("zero cannot be raised to a negative power")
         return 0j
     return base ** exponent
+
+
+def _scaled_radius(radius: float, factor: complex, before, after) -> float:
+    """radius / |factor| for f(factor z), but no wider than radius once a normal
+    coefficient in `before` fell below the smallest normal float in `after`:
+    a wider disk would expose the term that underflowed."""
+    wide = radius / abs(factor)
+    if any(abs(v) < sys.float_info.min <= abs(c) for c, v in zip(before, after)):
+        return min(wide, radius)
+    return wide
 
 
 class TruncatedSeries:
@@ -132,7 +143,7 @@ class TruncatedSeries:
         # A zero stays itself: lam**d may overflow where the coefficient is 0.
         scaled = tuple(c * _ipow(lam, d) if c else c
                        for d, c in zip(self.degrees(), self.coeffs))
-        radius = self.radius / abs(lam) if lam else self.radius
+        radius = _scaled_radius(self.radius, lam, self.coeffs, scaled) if lam else self.radius
         return TruncatedSeries(self.min_deg, scaled, label=self.label, radius=radius)
 
     def derivative(self) -> "TruncatedSeries":

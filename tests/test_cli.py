@@ -400,6 +400,15 @@ def test_bad_usage_exits_2(capsys):
                  "--builtin", "geometric", "--n", "0"]) == 2
 
 
+@pytest.mark.parametrize("z", ["", "inf"])
+def test_unparsable_point_exits_2_with_one_error_line(capsys, z):
+    code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", "3", "--z", z)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--z" in errors[0]
+    assert "Traceback" not in err
+
+
 def test_coefficient_pairs_that_are_not_numbers_exit_2(tmp_path, capsys):
     src = tmp_path / "f.json"
     src.write_text('{"min_deg": 0, "coeffs": [[null, 0], [1, 0]]}')

@@ -1,13 +1,16 @@
 """Deformed integers, derivatives, exponentials, and basic sequences."""
 
 import cmath
+import json
 import math
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+import cyclofun.qpsi as qpsi_module
 from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.qpsi import (
     Polynomial,
@@ -103,8 +106,62 @@ def test_degenerate_deformations_rejected():
 def test_number_beyond_cap_rejected():
     ps = PsiSequence.q_deformation(0.5, cap=8)
     ps.number(8)
-    with pytest.raises(ValueError):
-        ps.number(9)
+    for index in (ps.number, ps.factorial, ps.psi_weight):
+        with pytest.raises(ValueError, match="outside the sequence cap"):
+            index(9)
+        with pytest.raises(ValueError, match="outside the sequence cap"):
+            index(-1)
+    with pytest.raises(ValueError, match="outside the sequence cap"):
+        ps.binomial(9, 4)
+
+
+def test_sequence_kind_and_cap_rejected():
+    with pytest.raises(ValueError, match="unknown sequence kind"):
+        PsiSequence("mystery")
+    for build in (lambda: PsiSequence.q_deformation(0.5, cap=-3),
+                  lambda: PsiSequence.classical(cap=-1),
+                  lambda: psi_sequence_from_json({"kind": "classical", "cap": -3}),
+                  lambda: psi_sequence_from_json({"kind": "q", "q": [0.5, 0], "cap": -1})):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            build()
+    for ps in (PsiSequence.q_deformation(0.5, cap=0), PsiSequence.classical(cap=0)):
+        assert ps.number(0) == 0 and ps.factorial(0) == 1.0 and ps.psi_weight(0) == 1.0
+
+
+def test_q_sequence_makes_no_per_index_q_number_call(monkeypatch):
+    calls = []
+    real = qpsi_module.q_number
+    monkeypatch.setattr(qpsi_module, "q_number", lambda q, k: calls.append(k) or real(q, k))
+    ps = PsiSequence.q_deformation(0.625)
+    assert calls == []
+    assert [ps.number(n) for n in range(257)] == [real(0.625, n) for n in range(257)]
+
+
+def test_a_shared_sequence_reads_the_same_from_every_thread():
+    want = PsiSequence.q_deformation(0.5)
+    want = [(want.factorial(n), want.psi_weight(n)) for n in range(257)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            ps = PsiSequence.q_deformation(0.5)
+            barrier = threading.Barrier(4)
+            seen = [None] * 4
+
+            def read(t):
+                barrier.wait()
+                seen[t] = [(n, ps.factorial(n), ps.psi_weight(n)) for n in range(0, 257, 7)]
+
+            threads = [threading.Thread(target=read, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+            for rows in seen:
+                assert all((f, w) == want[n] for n, f, w in rows)
+            assert [(ps.factorial(n), ps.psi_weight(n)) for n in range(257)] == want
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_jackson_derivative_coefficient_rule():
@@ -196,6 +253,8 @@ def test_deformed_exponential_shapes():
     assert series_exp_psi(PsiSequence.q_deformation(2.0), 8).radius == 4.0
     with pytest.raises(ValueError):
         series_exp_psi(PsiSequence.q_deformation(0.5, cap=4), 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_exp_psi(ps, -1)
 
 
 def test_complex_q_factorials_past_double_range_give_zero_weights():
@@ -240,6 +299,32 @@ def test_factorials_overflow_to_zero_weights():
     ps = PsiSequence.q_deformation(2.0)
     assert ps.psi_weight(0) == 1.0
     assert ps.psi_weight(60) == 0.0
+
+
+def test_factorials_that_underflow_are_built_and_refused_by_series():
+    # Near q = -1 every even q-integer is tiny, and the factorial reaches 0.0 at
+    # n = 84; building the sequence must not divide by it.
+    ps = PsiSequence.q_deformation(-0.999999999)
+    assert ps.factorial(83) != 0.0 and ps.factorial(84) == 0.0
+    assert ps.psi_weight(84) == math.inf
+    assert series_exp_psi(ps, 64).coeffs[64] == 1 / ps.factorial(64)
+    with pytest.raises(ValueError, match="finite"):
+        series_exp_psi(ps, 84)
+
+
+def test_explicit_weights_come_back_as_given():
+    rng = random.Random(10)
+    for _ in range(200):
+        ws = [1] + [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                    for _ in range(rng.randint(1, 30))]
+        ps = PsiSequence.from_weights(ws)
+        assert [ps.psi_weight(n) for n in range(len(ws))] == ws
+        back = psi_sequence_from_json(json.loads(json.dumps(psi_sequence_to_json(ps))))
+        assert [back.psi_weight(n) for n in range(len(ws))] == ws
+    ps = PsiSequence.from_weights([1, 0.1234])
+    for _ in range(5):
+        ps = psi_sequence_from_json(json.loads(json.dumps(psi_sequence_to_json(ps))))
+    assert ps.psi_weight(1) == 0.1234
 
 
 def test_near_classical_limit():
@@ -296,6 +381,8 @@ def test_laguerre_small_cases():
     assert l2.coeffs == (0j, complex(-q_number(q, 2)), 1 + 0j)
     for n in range(1, 6):
         assert q_laguerre(n, q).evaluate(0) == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        q_laguerre(-1, 0.5)
 
 
 def test_lowering_property():
@@ -444,6 +531,10 @@ def test_sequence_json_round_trip():
 
     with pytest.raises(ValueError):
         psi_sequence_from_json({"kind": "mystery"})
+    with pytest.raises(ValueError, match="must be an object"):
+        psi_sequence_from_json([{"kind": "classical"}])
+    with pytest.raises(ValueError, match="nonempty list"):
+        psi_sequence_from_json({"kind": "explicit", "weights": 3})
     with pytest.raises(ValueError):
         psi_sequence_from_json({"kind": "q", "q": [None, 0]})
     with pytest.raises(ValueError):

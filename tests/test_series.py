@@ -108,6 +108,17 @@ def test_scale_argument_skips_the_power_of_a_zero_coefficient():
         TruncatedSeries(0, [0j] * 1100 + [1]).scale_argument(2)
 
 
+def test_scale_argument_keeps_the_disk_where_a_term_underflowed():
+    s = series_exp(64)
+    assert s.scale_argument(1e-2).radius == pytest.approx(400.0)
+    assert s.scale_argument(2).radius == 2.0
+    # 1e-100**d is 0.0 from d = 4 on, so a disk of 4e100 would sum 1 + 3 + 4.5 + 4.5.
+    tiny = s.scale_argument(1e-100)
+    assert tiny.radius == s.radius
+    with pytest.raises(DomainError):
+        tiny.evaluate(3e100)
+
+
 def test_scale_argument_matches_rotated_exponential():
     w = cmath.exp(2j * math.pi / 3)
     s = series_exp(48).scale_argument(w)
