@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .series import TruncatedSeries, _ipow, _scaled_radius
+from .series import TruncatedSeries, _Coeffs, _finite, _ipow, _scaled_radius
 
 __all__ = [
     "CyclicContext",
@@ -111,11 +111,13 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
     m0 = (s.min_deg + first - k) // n
     kept = s.coeffs[first::n]
     # A zero stays itself: alpha**m may overflow where the coefficient is 0.
-    sieved = [_class_weight(a.alpha, m) * c if c else c for m, c in enumerate(kept, m0)]
+    sieved = _finite([_class_weight(a.alpha, m) * c if c else c
+                      for m, c in enumerate(kept, m0)], s.min_deg + first, n)
     out = [0j] * len(s.coeffs)
     out[first::n] = sieved
     radius = _scaled_radius(s.radius, a.root, kept, sieved) if a.alpha else math.inf
-    return TruncatedSeries(s.min_deg, out, label=s.label, radius=radius)
+    # Only the sieved entries are new; the rest of the window is zeros.
+    return TruncatedSeries(s.min_deg, _Coeffs(out), label=s.label, radius=radius)
 
 
 def project_pointwise(f: Callable[[complex], complex], ctx: CyclicContext,
@@ -144,6 +146,6 @@ def omega_scale(s: TruncatedSeries, ctx: CyclicContext) -> TruncatedSeries:
     Degree classes rotate exactly: a coefficient at degree d picks up the
     table entry omega**(d mod n), so projections are exact eigenvectors.
     """
-    out = tuple(c * ctx.omega_pow[d % ctx.n]
-                for d, c in zip(s.degrees(), s.coeffs))
+    out = _finite([c * ctx.omega_pow[d % ctx.n]
+                   for d, c in zip(s.degrees(), s.coeffs)], s.min_deg)
     return TruncatedSeries(s.min_deg, out, label=s.label, radius=s.radius)

@@ -23,6 +23,7 @@ from .reports import IdentityReport, relative_residual
 from .series import (
     DEFAULT_TRUNCATION,
     ENTIRE_MAX_ABS_ARG,
+    DomainError,
     TruncatedSeries,
     _checked,
     _ipow,
@@ -279,7 +280,12 @@ def series_exp_psi(ps: PsiSequence, trunc: int = DEFAULT_TRUNCATION) -> Truncate
         raise ValueError("truncation order must be nonnegative")
     if trunc > ps.cap:
         raise ValueError(f"truncation {trunc} exceeds the sequence cap {ps.cap}")
-    coeffs = tuple(map(complex, ps._weights[:trunc + 1]))
+    coeffs = ps._weights[:trunc + 1]
+    # Explicit weights were checked as input; 1/[k]_q! overflows where [k]_q! underflowed.
+    for k, w in enumerate(coeffs):
+        if not cmath.isfinite(w):
+            raise DomainError(f"coefficient of degree {k} is not finite ({complex(w)!r}): "
+                              f"the weight 1/[{k}]_q! overflows at q = {ps.q!r}")
     bound = ENTIRE_MAX_ABS_ARG
     if ps.kind == "q" and abs(ps.q) < 1:
         bound = 0.9 / abs(1 - ps.q)

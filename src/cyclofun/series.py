@@ -35,7 +35,28 @@ GEOMETRIC_MAX_ABS_ARG = 0.9
 
 
 class DomainError(ValueError):
-    """Raised when an argument lies outside a series' evaluation domain."""
+    """Raised when an argument lies outside a series' evaluation domain, or a
+    computed coefficient overflows."""
+
+
+class _Coeffs(tuple):
+    """Finite complex coefficients, already checked: the constructor takes
+    them as they are."""
+
+    __slots__ = ()
+
+
+def _finite(values, min_deg: int, step: int = 1) -> _Coeffs:
+    """Computed complex coefficients, checked for finiteness only.
+
+    Entry i sits at degree min_deg + i * step.  A computed value that is not
+    finite is an overflow, so it raises DomainError naming its degree.
+    """
+    cs = _Coeffs(values)
+    if not all(map(cmath.isfinite, cs)):
+        i, bad = next((i, c) for i, c in enumerate(cs) if not cmath.isfinite(c))
+        raise DomainError(f"coefficient of degree {min_deg + i * step} is not finite ({bad!r})")
+    return cs
 
 
 def _checked(value, what: str) -> complex:
@@ -69,19 +90,24 @@ def _scaled_radius(radius: float, factor: complex, before, after) -> float:
 class TruncatedSeries:
     """Finite window of Laurent coefficients a_k for k in [min_deg, max_deg].
 
-    Evaluation is restricted to the closed disk |z| <= radius.
+    Evaluation is restricted to the closed disk |z| <= radius.  Input
+    coefficients are converted to complex and checked once, here; the
+    operations pass their results in as already checked.
     """
 
     __slots__ = ("min_deg", "max_deg", "coeffs", "label", "radius")
 
     def __init__(self, min_deg: int, coeffs: Sequence[complex], label: str | None = None,
                  radius: float = ENTIRE_MAX_ABS_ARG):
-        cs = tuple(map(complex, coeffs))
+        if isinstance(coeffs, _Coeffs):
+            cs = coeffs
+        else:
+            cs = _Coeffs(map(complex, coeffs))
+            if not all(map(cmath.isfinite, cs)):
+                bad = next(c for c in cs if not cmath.isfinite(c))
+                raise ValueError(f"coefficient must be finite, got {bad!r}")
         if not cs:
             raise ValueError("a series needs at least one coefficient")
-        if not all(map(cmath.isfinite, cs)):
-            bad = next(c for c in cs if not cmath.isfinite(c))
-            raise ValueError(f"coefficient must be finite, got {bad!r}")
         self.min_deg = int(min_deg)
         self.max_deg = self.min_deg + len(cs) - 1
         self.coeffs = cs
@@ -141,8 +167,8 @@ class TruncatedSeries:
         if lam == 0 and self.min_deg < 0:
             raise ValueError("cannot scale a negative-degree window by zero")
         # A zero stays itself: lam**d may overflow where the coefficient is 0.
-        scaled = tuple(c * _ipow(lam, d) if c else c
-                       for d, c in zip(self.degrees(), self.coeffs))
+        scaled = _finite([c * _ipow(lam, d) if c else c
+                          for d, c in zip(self.degrees(), self.coeffs)], self.min_deg)
         radius = _scaled_radius(self.radius, lam, self.coeffs, scaled) if lam else self.radius
         return TruncatedSeries(self.min_deg, scaled, label=self.label, radius=radius)
 
@@ -167,13 +193,15 @@ class TruncatedSeries:
         if o is None:
             return NotImplemented
         a, b = _aligned(self, o)
-        return TruncatedSeries(min(self.min_deg, o.min_deg), [x + y for x, y in zip(a, b)],
+        lo = min(self.min_deg, o.min_deg)
+        return TruncatedSeries(lo, _finite([x + y for x, y in zip(a, b)], lo),
                                radius=min(self.radius, o.radius))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.min_deg, [-c for c in self.coeffs],
+        # The negative of a finite value is finite.
+        return TruncatedSeries(self.min_deg, _Coeffs([-c for c in self.coeffs]),
                                label=self.label, radius=self.radius)
 
     def __sub__(self, other) -> "TruncatedSeries":
@@ -191,7 +219,8 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, float, complex)):
             w = _checked(other, "scalar")
-            return TruncatedSeries(self.min_deg, [c * w for c in self.coeffs],
+            return TruncatedSeries(self.min_deg, _finite([c * w for c in self.coeffs],
+                                                         self.min_deg),
                                    label=self.label, radius=self.radius)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -203,7 +232,7 @@ class TruncatedSeries:
 
         # Full convolution, then cut at the cap: entry d - lo is degree d.
         out = np.convolve(self.coeffs, other.coeffs)[:hi - lo + 1].tolist()
-        return TruncatedSeries(lo, out, radius=min(self.radius, other.radius))
+        return TruncatedSeries(lo, _finite(out, lo), radius=min(self.radius, other.radius))
 
     __rmul__ = __mul__
 
@@ -222,7 +251,8 @@ def _termwise_lower(s: TruncatedSeries, number: Callable[[int], complex]) -> Tru
     kept = s.coeffs[first - s.min_deg:last - s.min_deg + 1]
     # A zero stays zero; sieved inputs are mostly zeros, and number(d) may be costly.
     coeffs = [number(d) * c if c else c for d, c in zip(range(first, last + 1), kept)]
-    return TruncatedSeries(first - 1, coeffs, label=s.label, radius=s.radius)
+    return TruncatedSeries(first - 1, _finite(coeffs, first - 1), label=s.label,
+                           radius=s.radius)
 
 
 # -- constructors -------------------------------------------------------------

@@ -425,6 +425,13 @@ def test_overflow_is_a_domain_error(capsys):
         assert code == 4, argv
         assert out == ""
         assert err.startswith("domain error:") and err.count("\n") == 1
+    # A computed coefficient that overflows names its degree.
+    for argv, named in ((["verify", "--suite", "qpsi", "--q=-1e10"], "degree 31 "),
+                        (["decompose", "--builtin", "expq", "--q=-0.999999999",
+                          "--trunc", "200"], "the weight 1/[80]_q!")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == "", argv
+        assert err.startswith("domain error: coefficient of degree") and named in err, argv
 
 
 def test_det_that_overflows_is_a_domain_error(capsys):

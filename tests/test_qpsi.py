@@ -310,6 +310,10 @@ def test_factorials_that_underflow_are_built_and_refused_by_series():
     assert series_exp_psi(ps, 64).coeffs[64] == 1 / ps.factorial(64)
     with pytest.raises(ValueError, match="finite"):
         series_exp_psi(ps, 84)
+    # [80]_q! is subnormal, so its weight already overflows.
+    assert series_exp_psi(ps, 79).coeffs[79] == ps.psi_weight(79)
+    with pytest.raises(DomainError, match=r"degree 80 .*the weight 1/\[80\]_q!"):
+        series_exp_psi(ps, 80)
 
 
 def test_explicit_weights_come_back_as_given():

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclofun.cyclic import alpha_root, make_context, omega_scale, project_series
+from cyclofun.hyperbolic import laurent_component
+from cyclofun.qpsi import PsiSequence, jackson_derivative, psi_derivative
 from cyclofun.series import (
     PRODUCT_DEGREE_CAP,
     DomainError,
@@ -47,6 +50,63 @@ def test_nonfinite_coefficient_rejected():
         make_series([(0, float("nan"))])
     with pytest.raises(ValueError):
         TruncatedSeries(0, (complex("inf"),))
+    # Input is an input error (exit 2), not a domain error (exit 4).
+    for bad in (math.inf, -math.inf, math.nan, complex(1, math.inf)):
+        for raw in ([1, bad], (1, bad)):
+            with pytest.raises(ValueError, match="coefficient must be finite") as info:
+                TruncatedSeries(0, raw)
+            assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match="malformed"):
+        TruncatedSeries(0, [1, "one"])
+
+
+def test_constructor_converts_input_and_keeps_checked_coefficients():
+    for raw in ([1, 2.5, -3j], (1, 2.5, -3j)):
+        s = TruncatedSeries(-1, raw)
+        assert s.coeffs == (1 + 0j, 2.5 + 0j, -3j)
+        assert all(type(c) is complex for c in s.coeffs)
+    s = series_exp(6)
+    assert s.with_label("relabelled").coeffs is s.coeffs
+
+
+def test_operations_construct_through_the_one_constructor(monkeypatch):
+    # benchmarks/tracer.py counts series by wrapping __init__ and pins the
+    # counts; a result built around __init__ would drop out of them.
+    calls = []
+    init = TruncatedSeries.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        init(self, *args, **kwargs)
+
+    base = series_exp(8)
+    monkeypatch.setattr(TruncatedSeries, "__init__", counting)
+    laurent_component(base, make_context(3), alpha_root(2, 3), 1)
+    assert len(calls) == 2  # the sieve and the relabel
+    calls.clear()
+    jackson_derivative(base, 0.5)
+    assert len(calls) == 1
+
+
+_BIG = make_series([(-1, 1), (0, 1), (2, 1e308)])
+
+
+@pytest.mark.parametrize("compute, degree", [
+    (lambda: _BIG + _BIG, 2),
+    (lambda: _BIG * 10, 2),
+    (lambda: make_series([(-1, 1), (1, 1e200)]) * make_series([(1, 1e200j)]), 2),
+    (lambda: make_series([(0, 1), (3, 1e308)]).derivative(), 2),
+    (lambda: jackson_derivative(make_series([(0, 1), (3, 1e308)]), 2.0), 2),
+    (lambda: psi_derivative(make_series([(0, 1), (3, 1e308)]), PsiSequence.classical()), 2),
+    (lambda: project_series(make_series([(0, 1), (5, 1e300)]), make_context(2), 1,
+                            alpha_root(1e10, 2)), 5),
+    (lambda: _BIG.scale_argument(10), 2),
+    (lambda: omega_scale(make_series([(0, 1), (1, 1.5e308 + 1.5e308j)]), make_context(8)), 1),
+], ids=["sum", "scalar", "product", "derivative", "jackson", "psi", "sieve",
+        "scale_argument", "omega_scale"])
+def test_computed_overflow_is_a_domain_error_naming_its_degree(compute, degree):
+    with pytest.raises(DomainError, match=rf"coefficient of degree {degree} is not finite"):
+        compute()
 
 
 def test_exp_series_matches_library():
