@@ -103,7 +103,10 @@ def _load_series(args) -> tuple[TruncatedSeries, dict]:
     """The series named by --input or --builtin, with its provenance."""
     if getattr(args, "input", None):
         with open(args.input) as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.input}: JSON nested too deeply") from None
         return series_from_json(obj), {"input": args.input}
     name = args.builtin
     if name == "exp":

@@ -23,7 +23,6 @@ __all__ = [
     "alpha_root",
     "project_series",
     "project_pointwise",
-    "omega_scale",
 ]
 
 
@@ -31,7 +30,7 @@ class CyclicContext:
     """Order n with the primitive root of unity omega = exp(2 pi i / n).
 
     The power table is computed entry by entry with exp, so every entry is
-    unimodular to machine precision and omega_power(n) is exactly 1.
+    unimodular to machine precision and omega**0 is exactly 1.
     """
 
     __slots__ = ("n", "omega_pow")
@@ -42,10 +41,6 @@ class CyclicContext:
             raise ValueError(f"cyclic order must be at least 2, got {n}")
         self.n = n
         self.omega_pow = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
-
-    def omega_power(self, k: int) -> complex:
-        """omega**k for any integer k, reduced mod n through the table."""
-        return self.omega_pow[k % self.n]
 
     def __repr__(self) -> str:
         return f"CyclicContext(n={self.n})"
@@ -139,13 +134,3 @@ def project_pointwise(f: Callable[[complex], complex], ctx: CyclicContext,
         acc += ctx.omega_pow[(-j * k) % n] * f(ctx.omega_pow[j] * a.root * z)
     return acc / n * _ipow(a.root, -k)
 
-
-def omega_scale(s: TruncatedSeries, ctx: CyclicContext) -> TruncatedSeries:
-    """Series of f(omega z), computed through the exact power table.
-
-    Degree classes rotate exactly: a coefficient at degree d picks up the
-    table entry omega**(d mod n), so projections are exact eigenvectors.
-    """
-    out = _finite([c * ctx.omega_pow[d % ctx.n]
-                   for d, c in zip(s.degrees(), s.coeffs)], s.min_deg)
-    return TruncatedSeries(s.min_deg, out, label=s.label, radius=s.radius)

@@ -82,7 +82,9 @@ def circulant_from_components(components: Sequence[complex], alpha: complex) -> 
     n = len(vals)
     if n < 2:
         raise ValueError("need at least two components")
-    ext = np.concatenate((complex(alpha) * vals, vals))
+    # An overflowed alpha c_k stays inf, for the determinants to report.
+    with np.errstate(all="ignore"):
+        ext = np.concatenate((complex(alpha) * vals, vals))
     step = ext.itemsize
     return np.ndarray((n, n), complex, ext, n * step, (-step, step)).copy()
 
@@ -171,7 +173,7 @@ def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled",
 
 
 def _component_values(fam: HyperbolicFamily, z: complex) -> list[complex]:
-    method = "closed" if fam.root.alpha != 0 and fam.base is not None else "series"
+    method = "closed" if fam.root.alpha != 0 else "series"
     return [h_eval(fam, s, z, method) for s in range(fam.ctx.n)]
 
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
-from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
+from .cyclic import AlphaRoot, CyclicContext, make_context, project_series
 from .series import (DEFAULT_TRUNCATION, GEOMETRIC_MAX_ABS_ARG, DomainError,
-                     TruncatedSeries, _json_int, _pair, _unpair, series_exp,
-                     series_from_json, series_to_json)
+                     TruncatedSeries, series_exp)
 
 if TYPE_CHECKING:  # annotations only; functions import numpy where they use it
     import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "h_eval",
     "g_eval",
     "laurent_component",
-    "family_to_json",
-    "family_from_json",
 ]
 
 
@@ -38,17 +35,15 @@ class HyperbolicFamily:
     """The n component series plus the data needed for closed-form evaluation.
 
     base is the scalar function whose sieve the components are; it feeds the
-    closed-form path and is None when only series evaluation is available.
-    cmath.exp (the classical family) is applied as np.exp to all n rotated
-    arguments in one call, any other callable (a series' evaluate) to one
-    argument at a time.
+    closed-form path.  cmath.exp (the classical family) is applied as np.exp
+    to all n rotated arguments in one call, any other callable (a series'
+    evaluate) to one argument at a time.
     """
 
     ctx: CyclicContext
     root: AlphaRoot
     components: tuple[TruncatedSeries, ...]
-    base: Callable[[complex], complex] | None = field(default=None, compare=False)
-    kind: str = "exp"
+    base: Callable[[complex], complex] = field(compare=False)
     # The last closed-route point's component vector as one (z, values)
     # tuple, read and replaced whole so a shared family never pairs a point
     # with another point's values.
@@ -57,8 +52,8 @@ class HyperbolicFamily:
     @cached_property
     def _kernel(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The closed form's rotated roots omega**k r and weights r**-s / n, built
-        at the first closed-route call; None when alpha = 0 or there is no base."""
-        if self.root.alpha == 0 or self.base is None:
+        at the first closed-route call; None when alpha = 0."""
+        if self.root.alpha == 0:
             return None
         import numpy as np
 
@@ -79,7 +74,7 @@ def build_family(n: int, a: AlphaRoot, trunc: int = DEFAULT_TRUNCATION) -> Hyper
     ctx = make_context(n)
     base = series_exp(trunc)
     comps = tuple(laurent_component(base, ctx, a, s) for s in range(n))
-    return HyperbolicFamily(ctx, a, comps, base=cmath.exp, kind="exp")
+    return HyperbolicFamily(ctx, a, comps, base=cmath.exp)
 
 
 def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") -> complex:
@@ -87,10 +82,10 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
 
     method "series" runs Horner on the stored window, inside the component's
     radius; "closed", which no radius bounds, averages the base function over
-    root-of-unity rotations of the scaled argument (alpha != 0 and a base
-    function needed), makes all n components at once and keeps them for the
-    next call at the same z.  It raises DomainError when its rounding bound,
-    eps max|f| |r|**-s (the weight-scaled transform error), exceeds 1e-9 max(1, |h_s|).
+    root-of-unity rotations of the scaled argument (alpha != 0 needed), makes
+    all n components at once and keeps them for the next call at the same z.
+    It raises DomainError when its rounding bound, eps max|f| |r|**-s (the
+    weight-scaled transform error), exceeds 1e-9 max(1, |h_s|).
     """
     s = int(s) % fam.ctx.n
     z = complex(z)
@@ -99,9 +94,7 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
     if fam._kernel is None:
-        if fam.root.alpha == 0:
-            raise ValueError("closed form needs alpha != 0; use the series method")
-        raise ValueError("this family carries no base function for the closed form")
+        raise ValueError("closed form needs alpha != 0; use the series method")
     memo = fam._memo
     if memo is None or memo[0] != z:
         memo = (z, *_closed_components(fam, z))
@@ -158,37 +151,3 @@ def laurent_component(s: TruncatedSeries, ctx: CyclicContext, a: AlphaRoot,
     src = s.label or "series"
     return project_series(s, ctx, l, a).with_label(f"{src}[{l} mod {ctx.n}]")
 
-
-# -- serialization ------------------------------------------------------------
-
-def family_to_json(fam: HyperbolicFamily) -> dict:
-    return {
-        "n": fam.ctx.n,
-        "alpha": _pair(fam.root.alpha),
-        "branch": fam.root.branch,
-        "kind": fam.kind,
-        "components": [series_to_json(c) for c in fam.components],
-    }
-
-
-def family_from_json(obj: dict) -> HyperbolicFamily:
-    if not isinstance(obj, dict):
-        raise ValueError("family JSON must be an object")
-    try:
-        n = obj["n"]
-        al = obj["alpha"]
-        branch = obj["branch"]
-        raw = obj["components"]
-    except KeyError as exc:
-        raise ValueError("family JSON needs n, alpha, branch, components") from exc
-    n = _json_int(n, "'n'")
-    branch = _json_int(branch, "'branch'")
-    alpha = _unpair(al, "'alpha'")
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ValueError("'components' must list exactly n series")
-    a = alpha_root(alpha, n, branch)
-    ctx = make_context(n)
-    comps = tuple(series_from_json(c) for c in raw)
-    kind = obj.get("kind", "exp")
-    base = cmath.exp if kind == "exp" else None
-    return HyperbolicFamily(ctx, a, comps, base=base, kind=kind)

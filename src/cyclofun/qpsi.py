@@ -27,10 +27,7 @@ from .series import (
     TruncatedSeries,
     _checked,
     _ipow,
-    _json_int,
-    _pair,
     _termwise_lower,
-    _unpair,
     coeff_residual,
     make_series,
     series_exp,
@@ -39,8 +36,6 @@ from .series import (
 __all__ = [
     "q_number",
     "PsiSequence",
-    "psi_sequence_to_json",
-    "psi_sequence_from_json",
     "jackson_derivative",
     "psi_derivative",
     "series_exp_psi",
@@ -98,6 +93,11 @@ class _QNumbers:
         total, q = totals[-1], self.q
         for _ in range(len(totals), max(k + 1, 2 * len(totals))):
             total += power
+            if total != total:
+                # inf - inf past overflow: the newest power dominates, so the
+                # q-number saturates at its infinity, or at inf once complex
+                # arithmetic has lost the power to nan.
+                total = power if power == power else math.inf
             power *= q
             totals.append(total)
         self._state = (totals, power)
@@ -221,32 +221,6 @@ class PsiSequence:
         return math.prod(self._numbers[n - k + 1:self._index(n) + 1]) / self._fact[k]
 
 
-def psi_sequence_to_json(ps: PsiSequence) -> dict:
-    if ps.kind == "q":
-        return {"kind": "q", "q": _pair(ps.q), "cap": ps.cap}
-    if ps.kind == "classical":
-        return {"kind": "classical", "cap": ps.cap}
-    return {"kind": "explicit", "weights": [_pair(w) for w in ps._weights]}
-
-
-def psi_sequence_from_json(obj: dict) -> PsiSequence:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("sequence JSON must be an object with a 'kind'")
-    kind = obj["kind"]
-    if kind in ("q", "classical"):
-        cap = _json_int(obj.get("cap", PSI_CAP), "'cap'")
-    if kind == "q":
-        return PsiSequence.q_deformation(_unpair(obj.get("q"), "'q'"), cap=cap)
-    if kind == "classical":
-        return PsiSequence.classical(cap=cap)
-    if kind == "explicit":
-        raw = obj.get("weights")
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("'weights' must be a nonempty list")
-        return PsiSequence.from_weights([_unpair(w, "a weight") for w in raw])
-    raise ValueError(f"unknown sequence kind {kind!r}")
-
-
 # -- deformed derivatives -------------------------------------------------------
 
 def jackson_derivative(s: TruncatedSeries, q) -> TruncatedSeries:
@@ -301,7 +275,7 @@ def build_psi_hyperbolic(ps: PsiSequence, ctx: CyclicContext, a: AlphaRoot,
     """Sieve the deformed exponential into its cyclic components."""
     base = series_exp_psi(ps, trunc)
     comps = tuple(laurent_component(base, ctx, a, s) for s in range(ctx.n))
-    return HyperbolicFamily(ctx, a, comps, base.evaluate, "psi")
+    return HyperbolicFamily(ctx, a, comps, base.evaluate)
 
 
 # -- polynomials ----------------------------------------------------------------

@@ -18,7 +18,6 @@ __all__ = [
     "make_series",
     "series_exp",
     "series_geometric",
-    "constant_series",
     "series_to_json",
     "series_from_json",
     "coeff_close",
@@ -185,7 +184,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return other
         if isinstance(other, (int, float, complex)):
-            return constant_series(other)
+            return TruncatedSeries(0, (_checked(other, "constant"),))
         return None
 
     def __add__(self, other) -> "TruncatedSeries":
@@ -275,10 +274,6 @@ def make_series(terms: Iterable[tuple[int, complex]],
     lo, hi = min(seen), max(seen)
     coeffs = tuple(seen.get(d, 0j) for d in range(lo, hi + 1))
     return TruncatedSeries(lo, coeffs, label=label)
-
-
-def constant_series(value: complex, label: str | None = None) -> TruncatedSeries:
-    return TruncatedSeries(0, (_checked(value, "constant"),), label=label)
 
 
 def series_exp(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:

@@ -443,6 +443,35 @@ def test_det_that_overflows_is_a_domain_error(capsys):
         assert code == 4, fmt
         assert out == ""
         assert err.startswith("domain error: numeric overflow (") and err.count("\n") == 1, fmt
+    # alpha c_k overflows while the circulant is assembled: no RuntimeWarning
+    # escapes (tier-1 turns one into an error), and the residual names the inf.
+    code, out, err = run_cli(capsys, "det", "--components", "1,2", "--n", "2",
+                             "--alpha", "1e308")
+    assert code == 4 and out == ""
+    assert err.startswith("domain error: numeric overflow (residual of (-inf")
+    assert "is not finite" in err and err.count("\n") == 1
+
+
+def test_deeply_nested_json_input_is_a_usage_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv in (["eval", "--z", "0.3"], ["decompose"]):
+        code, out, err = run_cli(capsys, *argv, "--input", str(deep), "--n", "2")
+        assert code == 2 and out == "", argv
+        assert err == f"error: {deep}: JSON nested too deeply\n", argv
+
+
+def test_expq_whose_q_numbers_overflow_decomposes(capsys):
+    # For q = -1e10 the weights 1/[k]_q! underflow to 0.0 from k = 9 on, and
+    # the q-numbers themselves overflow from k = 32; neither may turn nan.
+    def coefficient_lines(*extra):
+        code, out, err = run_cli(capsys, "decompose", "--builtin", "expq",
+                                 "--q=-1e10", "--n", "2", *extra)
+        assert code == 0 and err == "", extra
+        return [line for line in out.splitlines() if line.startswith("  deg ")]
+
+    full = coefficient_lines()
+    assert len(full) == 9 and full == coefficient_lines("--trunc", "20")
 
 
 def test_module_entry_point_smoke():
