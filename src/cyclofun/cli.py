@@ -71,16 +71,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _env_tolerance() -> float | None:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
-
-
 def _effective_tolerance(args, fallback: float | None = None) -> float | None:
     """The --tol value, else CYCLOFUN_TOL, else fallback.
 
@@ -89,9 +79,13 @@ def _effective_tolerance(args, fallback: float | None = None) -> float | None:
     """
     tol, source = getattr(args, "tol", None), "--tol"
     if tol is None:
-        tol, source = _env_tolerance(), TOL_ENV_VAR
-    if tol is None:
-        return fallback
+        raw, source = os.environ.get(TOL_ENV_VAR), TOL_ENV_VAR
+        if not raw:
+            return fallback
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValueError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"{source} must be a finite nonnegative number, got {tol!r}")
     return tol

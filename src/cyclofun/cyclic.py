@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .series import TruncatedSeries, _Coeffs, _finite, _ipow, _scaled_radius
+from .series import TruncatedSeries, _checked, _Coeffs, _finite, _ipow, _scaled_radius
 
 __all__ = [
     "CyclicContext",
@@ -24,6 +24,20 @@ __all__ = [
     "project_series",
     "project_pointwise",
 ]
+
+
+def _order(n: int) -> int:
+    """n as an int, checked to be a cyclic order: at least 2."""
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"cyclic order must be at least 2, got {n}")
+    return n
+
+
+def _check_root(a: AlphaRoot, n: int) -> None:
+    """A root of alpha serves only the order it was taken for."""
+    if a.n != n:
+        raise ValueError(f"root order {a.n} does not match context order {n}")
 
 
 class CyclicContext:
@@ -36,10 +50,7 @@ class CyclicContext:
     __slots__ = ("n", "omega_pow")
 
     def __init__(self, n: int):
-        n = int(n)
-        if n < 2:
-            raise ValueError(f"cyclic order must be at least 2, got {n}")
-        self.n = n
+        self.n = n = _order(n)
         self.omega_pow = tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
 
     def __repr__(self) -> str:
@@ -67,12 +78,8 @@ def alpha_root(alpha: complex, n: int, branch: int = 0) -> AlphaRoot:
     omega**b.  alpha = 0 maps to root 0 (components then follow the sieve
     rule, where only the m = 0 term of each residue class survives).
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"cyclic order must be at least 2, got {n}")
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError("alpha must be finite")
+    n = _order(n)
+    alpha = _checked(alpha, "alpha")
     branch = int(branch) % n
     if alpha == 0:
         return AlphaRoot(alpha, 0j, n, branch)
@@ -97,8 +104,7 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
     Component k at z is r**-k times the class sum at r z, so its radius is the
     input radius over |r|; at alpha = 0 each class keeps one term and is entire.
     """
-    if a.n != ctx.n:
-        raise ValueError(f"root order {a.n} does not match context order {ctx.n}")
+    _check_root(a, ctx.n)
     n = ctx.n
     k = int(k) % n
     # Degrees n*m + k sit at offsets first, first + n, ...; the first has m = m0.
@@ -122,8 +128,7 @@ def project_pointwise(f: Callable[[complex], complex], ctx: CyclicContext,
     r is the chosen root of alpha; the prefactor uses the same root as the
     argument scaling, which makes the value independent of the branch.
     """
-    if a.n != ctx.n:
-        raise ValueError(f"root order {a.n} does not match context order {ctx.n}")
+    _check_root(a, ctx.n)
     if a.alpha == 0:
         raise ValueError("alpha = 0 has no pointwise form; use project_series")
     n = ctx.n

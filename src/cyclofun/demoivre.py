@@ -14,7 +14,8 @@ import math
 import random
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context, project_series
+from .cyclic import (AlphaRoot, CyclicContext, _check_root, _order, alpha_root, make_context,
+                     project_series)
 from .hyperbolic import HyperbolicFamily, build_family, h_eval
 from .reports import IdentityReport, relative_residual
 from .series import DEFAULT_TRUNCATION, TruncatedSeries, series_exp, series_geometric
@@ -52,13 +53,6 @@ def cheb_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
-def _order(n: int) -> int:
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"order must be at least 2, got {n}")
-    return n
-
-
 def generator_matrix(n: int, alpha: complex) -> np.ndarray:
     """Twisted cyclic shift: ones above the diagonal, alpha in the corner."""
     import numpy as np
@@ -79,9 +73,7 @@ def circulant_from_components(components: Sequence[complex], alpha: complex) -> 
     import numpy as np
 
     vals = np.array(components, dtype=complex)
-    n = len(vals)
-    if n < 2:
-        raise ValueError("need at least two components")
+    n = _order(len(vals))
     # An overflowed alpha c_k stays inf, for the determinants to report.
     with np.errstate(all="ignore"):
         ext = np.concatenate((complex(alpha) * vals, vals))
@@ -104,8 +96,7 @@ def circulant_det_spectral(components: Sequence[complex], ctx: CyclicContext,
     n = ctx.n
     if len(vals) != n:
         raise ValueError(f"expected {n} components, got {len(vals)}")
-    if a.n != n:
-        raise ValueError(f"root order {a.n} does not match context order {n}")
+    _check_root(a, n)
     with np.errstate(all="ignore"):
         eigenvalues = np.fft.ifft(vals * np.power(a.root, np.arange(n)), norm="forward")
     return math.prod(eigenvalues.tolist(), start=1 + 0j)

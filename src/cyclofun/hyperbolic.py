@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable
 
-from .cyclic import AlphaRoot, CyclicContext, make_context, project_series
+from .cyclic import AlphaRoot, CyclicContext, _check_root, make_context, project_series
 from .series import (DEFAULT_TRUNCATION, GEOMETRIC_MAX_ABS_ARG, DomainError,
                      TruncatedSeries, series_exp)
 
@@ -68,12 +68,10 @@ class HyperbolicFamily:
 @lru_cache(maxsize=128)
 def build_family(n: int, a: AlphaRoot, trunc: int = DEFAULT_TRUNCATION) -> HyperbolicFamily:
     """Sieve the exponential series into its n weighted components."""
-    n = int(n)
-    if a.n != n:
-        raise ValueError(f"root order {a.n} does not match requested order {n}")
     ctx = make_context(n)
+    _check_root(a, ctx.n)
     base = series_exp(trunc)
-    comps = tuple(laurent_component(base, ctx, a, s) for s in range(n))
+    comps = tuple(laurent_component(base, ctx, a, s) for s in range(ctx.n))
     return HyperbolicFamily(ctx, a, comps, base=cmath.exp)
 
 
@@ -131,8 +129,7 @@ def g_eval(ctx: CyclicContext, a: AlphaRoot, l: int, z: complex) -> complex:
     z**l / (1 - alpha z**n).  Requires alpha != 0 and |r z| <= 0.9, the
     domain of the sieved series, so the denominator stays away from zero.
     """
-    if a.n != ctx.n:
-        raise ValueError(f"root order {a.n} does not match context order {ctx.n}")
+    _check_root(a, ctx.n)
     if a.alpha == 0:
         raise ValueError("alpha = 0 has no pointwise form; sieve the series instead")
     l = int(l) % ctx.n

@@ -25,6 +25,7 @@ from .series import (
     ENTIRE_MAX_ABS_ARG,
     DomainError,
     TruncatedSeries,
+    _check_truncation,
     _checked,
     _ipow,
     _termwise_lower,
@@ -61,12 +62,13 @@ def q_number(q, k: int):
     """The q-integer [k]_q = 1 + q + ... + q**(k-1).
 
     Negative k uses [−m]_q = −q**(−m) [m]_q, the analytic continuation of
-    (q**k - 1)/(q - 1).  The cumulative sum avoids the cancellation that the
-    closed form suffers near q = 1.
+    (q**k - 1)/(q - 1), or the equal −[m]_{1/q} / q where that product is nan
+    (0 * inf).  The cumulative sum avoids the closed form's cancellation near q = 1.
     """
     k = int(k)
     if k < 0:
-        return -(q ** k) * q_number(q, -k)
+        value = -(q ** k) * q_number(q, -k)
+        return value if value == value else -q_number(1 / q, -k) / q
     return _q_numbers(type(q), q).upto(k)[k]
 
 
@@ -114,76 +116,63 @@ def _q_numbers(kind: type, q) -> _QNumbers:
 class PsiSequence:
     """Deformed integer sequence with factorials, binomials, and weights.
 
-    kind "q" stores the deformation parameter; "classical" is n_psi = n;
-    "explicit" keeps the given exponential weights psi_n = 1/n_psi!.  The
-    tables are built once, up to the cap, and never change, so threads may
-    share a sequence.  Factorials may overflow to infinity for |q| > 1; the
+    Each kind has its own constructor: q_deformation and classical (n_psi = n)
+    span degrees 0..PSI_CAP, from_weights its given weights psi_n = 1/n_psi!.
+    The tables are built once and never change, so threads may share a
+    sequence.  Factorials may overflow to infinity for |q| > 1; the
     corresponding weights are then exactly zero, which every consumer here
     tolerates.
     """
 
     __slots__ = ("kind", "q", "cap", "_numbers", "_fact", "_weights")
 
-    def __init__(self, kind: str, q=None, cap: int = PSI_CAP,
-                 weights: Sequence[complex] | None = None):
+    def __init__(self, kind: str, numbers: Sequence, q=None,
+                 weights: tuple | None = None):
         self.kind = kind
-        self.q = None
-        if kind == "explicit":
-            if not weights:
-                raise ValueError("explicit sequences need a weight list")
-            ws = tuple(_checked(w, "weight") for w in weights)
-            if ws[0] != 1:
-                raise ValueError("the degree-0 weight must be 1")
-            if any(w == 0 for w in ws):
-                raise ValueError("explicit weights must be nonzero")
-            cap = len(ws) - 1
-        self.cap = int(cap)
-        if self.cap < 0:
-            raise ValueError(f"the sequence cap must be nonnegative, got {self.cap}")
-        if kind == "q":
-            qc = complex(q)
-            if not (math.isfinite(qc.real) and math.isfinite(qc.imag)):
-                raise ValueError("q must be finite")
-            if qc == 1:
-                raise ValueError("q = 1 collapses to the classical sequence; "
-                                 "use PsiSequence.classical()")
-            # Real q stays in float arithmetic so overflow is inf, not nan.
-            self.q = qc.real if qc.imag == 0.0 else qc
-            table = _q_numbers(type(self.q), self.q).upto(self.cap)
-            self._numbers = tuple(table[:self.cap + 1])
-            for n, v in enumerate(self._numbers[1:], 1):
-                if abs(v) < NUMBER_FLOOR:
-                    raise ValueError(
-                        f"[{n}]_q vanishes for q = {qc}; the deformation is "
-                        "degenerate at a root of unity")
-        elif kind == "classical":
-            self._numbers = range(self.cap + 1)
-        elif kind == "explicit":
-            self._numbers = (0,) + tuple(ws[n - 1] / ws[n] for n in range(1, len(ws)))
-        else:
-            raise ValueError(f"unknown sequence kind {kind!r}")
+        self.q = q
+        self.cap = len(numbers) - 1
+        self._numbers = numbers
         fact = [1.0]
-        for v in self._numbers[1:]:
+        for v in numbers[1:]:
             f = fact[-1] * v
             # Complex arithmetic can turn an overflow into nan; pin it to inf.
             fact.append(math.inf if isinstance(f, complex) and not cmath.isfinite(f) else f)
         self._fact = tuple(fact)
         # An overflowed factorial weighs 0.0; one that underflowed, inf.
-        self._weights = ws if kind == "explicit" else tuple(
+        self._weights = weights if weights is not None else tuple(
             0.0 if isinstance(f, float) and math.isinf(f) else 1 / f if f else math.inf
             for f in fact)
 
     @classmethod
-    def q_deformation(cls, q, cap: int = PSI_CAP) -> "PsiSequence":
-        return cls("q", q=q, cap=cap)
+    def q_deformation(cls, q) -> "PsiSequence":
+        qc = _checked(q, "q")
+        if qc == 1:
+            raise ValueError("q = 1 collapses to the classical sequence; "
+                             "use PsiSequence.classical()")
+        # Real q stays in float arithmetic so overflow is inf, not nan.
+        q = qc.real if qc.imag == 0.0 else qc
+        numbers = tuple(_q_numbers(type(q), q).upto(PSI_CAP)[:PSI_CAP + 1])
+        for n, v in enumerate(numbers[1:], 1):
+            if abs(v) < NUMBER_FLOOR:
+                raise ValueError(f"[{n}]_q vanishes for q = {qc}; the deformation is "
+                                 "degenerate at a root of unity")
+        return cls("q", numbers, q=q)
 
     @classmethod
-    def classical(cls, cap: int = PSI_CAP) -> "PsiSequence":
-        return cls("classical", cap=cap)
+    def classical(cls) -> "PsiSequence":
+        return cls("classical", range(PSI_CAP + 1))
 
     @classmethod
     def from_weights(cls, weights: Sequence[complex]) -> "PsiSequence":
-        return cls("explicit", weights=weights)
+        if not weights:
+            raise ValueError("explicit sequences need a weight list")
+        ws = tuple(_checked(w, "weight") for w in weights)
+        if ws[0] != 1:
+            raise ValueError("the degree-0 weight must be 1")
+        if any(w == 0 for w in ws):
+            raise ValueError("explicit weights must be nonzero")
+        numbers = (0,) + tuple(ws[n - 1] / ws[n] for n in range(1, len(ws)))
+        return cls("explicit", numbers, weights=ws)
 
     def __repr__(self) -> str:
         if self.kind == "q":
@@ -250,8 +239,7 @@ def series_exp_psi(ps: PsiSequence, trunc: int = DEFAULT_TRUNCATION) -> Truncate
     series has radius 1/|1-q|, otherwise it is entire and gets the standard
     bound.  Explicit sequences get a tail-ratio estimate.
     """
-    if trunc < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_truncation(trunc)
     if trunc > ps.cap:
         raise ValueError(f"truncation {trunc} exceeds the sequence cap {ps.cap}")
     coeffs = ps._weights[:trunc + 1]
@@ -484,8 +472,8 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
             {"q": complex(qv), "n": n, "alphas": [1, -1, 2], "trunc": trunc},
             worst, 1e-11))
 
-    near = PsiSequence.q_deformation(1 + 1e-8, cap=40)
-    plain = PsiSequence.classical(cap=40)
+    near = PsiSequence.q_deformation(1 + 1e-8)
+    plain = PsiSequence.classical()
     worst = 0.0
     for n in range(33):
         ref = plain.psi_weight(n)

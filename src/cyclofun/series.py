@@ -65,6 +65,11 @@ def _checked(value, what: str) -> complex:
     return v
 
 
+def _check_truncation(trunc: int) -> None:
+    if trunc < 0:
+        raise ValueError("truncation order must be nonnegative")
+
+
 def _ipow(base: complex, exponent: int) -> complex:
     """base ** exponent for integer exponents, with 0 ** 0 == 1."""
     if exponent == 0:
@@ -134,8 +139,8 @@ class TruncatedSeries:
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation, negative and nonnegative halves separately.
 
-        Raises DomainError if |z| exceeds the radius, or if z == 0 while the
-        window contains negative degrees.
+        Raises DomainError if |z| exceeds the radius, if z == 0 while the
+        window contains negative degrees, or if the value is not finite.
         """
         z = complex(z)
         if abs(z) > self.radius:
@@ -155,7 +160,13 @@ class TruncatedSeries:
             acc = 0j
             for c in self.coeffs[:-self.min_deg]:
                 acc = (acc + c) * u
+            if self.max_deg < -1 and acc:
+                # The loop leaves the window's last entry at degree -1, not max_deg;
+                # a zero half skips the power, which may overflow.
+                acc *= _ipow(u, -1 - self.max_deg)
             total += acc
+        if not cmath.isfinite(total):
+            raise DomainError(f"the series value at z = {z} is not finite, got {total!r}")
         return total
 
     # -- structural operations ----------------------------------------------
@@ -278,8 +289,7 @@ def make_series(terms: Iterable[tuple[int, complex]],
 
 def series_exp(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """The exponential series sum z^k / k! truncated at degree trunc."""
-    if trunc < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_truncation(trunc)
     # 1/k! from a running integer k!, correctly rounded as 1/math.factorial(k);
     # once it underflows to 0.0, every later term is 0.0 too.
     coeffs = [1 + 0j]
@@ -296,8 +306,7 @@ def series_exp(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
 
 def series_geometric(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """The geometric series sum z^k (that is, 1/(1-z)) truncated at trunc."""
-    if trunc < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _check_truncation(trunc)
     return TruncatedSeries(0, (1 + 0j,) * (trunc + 1), label="geometric",
                            radius=GEOMETRIC_MAX_ABS_ARG)
 

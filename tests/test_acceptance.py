@@ -227,8 +227,8 @@ def test_criterion_6_deformed_calculus():
                 want = fam_l[n - 1] * q_number(q, n)
                 assert coeff_residual(got, want) <= 1e-10
 
-        near = PsiSequence.q_deformation(1 + 1e-8, cap=40)
-        plain = PsiSequence.classical(cap=40)
+        near = PsiSequence.q_deformation(1 + 1e-8)
+        plain = PsiSequence.classical()
         for n in range(11):
             assert abs(near.number(n) - n) <= 1e-6
         for n in range(33):

@@ -106,6 +106,28 @@ def test_eval_domain_violation_exits_4(capsys):
     assert "domain" in err
 
 
+def test_eval_of_a_value_that_is_not_finite_exits_4(tmp_path, capsys):
+    # Every coefficient is finite, but the sum overflows (to nan+nani at
+    # z = 3.9, to inf at z = 1e-200 through the negative degrees).
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"min_deg": 0, "coeffs": [[1e300, 0]] * 65}))
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"min_deg": -3, "coeffs": [[1, 0]] * 5}))
+    for path, z in ((big, "3.9"), (tiny, "1e-200")):
+        code, out, err = run_cli(capsys, "eval", "--input", str(path), "--n", "2",
+                                 "--z", z)
+        assert code == 4 and out == "", (path, out)
+        assert "is not finite" in err
+
+
+def test_eval_of_a_window_ending_below_degree_minus_one(tmp_path, capsys):
+    src = tmp_path / "low.json"
+    src.write_text(json.dumps({"min_deg": -6, "coeffs": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    code, out, _ = run_cli(capsys, "eval", "--input", str(src), "--n", "2", "--z", "2")
+    assert code == 0
+    assert "series: 0.015625\n" in out
+
+
 def test_eval_closed_route_is_not_bounded_by_the_series_disk(capsys):
     code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", "2",
                              "--z", "5", "--method", "closed")

@@ -6,12 +6,14 @@ import random
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
 import cyclofun.qpsi as qpsi_module
 from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.qpsi import (
+    PSI_CAP,
     Polynomial,
     PsiSequence,
     build_psi_hyperbolic,
@@ -70,6 +72,19 @@ def test_deformed_integer_table_matches_the_running_sum():
             assert got == want, (q, k)
 
 
+def test_negative_degree_q_numbers_stay_finite_where_the_power_underflows():
+    # [-m]_q = -(q**-1 + ... + q**-m); q**-m underflows to 0 while [m]_q
+    # overflows, and their product was nan.
+    with mpmath.workdps(50):
+        for q, m in ((2.0, 1100), (-1e10, 40)):
+            want = float(-mpmath.fsum(mpmath.mpf(q) ** -j for j in range(1, m + 1)))
+            got = q_number(q, -m)
+            assert abs(got - want) <= 1e-15 * abs(want), (q, m, got)
+    d = jackson_derivative(make_series([(-40, 1), (0, 1)]), -1e10)
+    assert d.coeff(-41) == q_number(-1e10, -40)
+    assert abs(d.coeff(-41) - 1e-10) <= 1e-19
+
+
 def test_deformed_integer_near_unit_has_no_cancellation():
     # the cumulative power sum stays accurate where (q**k - 1)/(q - 1) loses digits
     q = 1 + 1e-8
@@ -87,7 +102,7 @@ def test_deformed_binomial_values():
     assert ps.number(3) == 7
     assert ps.factorial(3) == 21
     assert ps.number(0) == 0
-    assert PsiSequence.classical(cap=16).factorial(5) == 120
+    assert PsiSequence.classical().factorial(5) == 120
 
 
 def test_degenerate_deformations_rejected():
@@ -102,25 +117,19 @@ def test_degenerate_deformations_rejected():
 
 
 def test_number_beyond_cap_rejected():
-    ps = PsiSequence.q_deformation(0.5, cap=8)
-    ps.number(8)
+    ps = PsiSequence.q_deformation(0.5)
+    ps.number(PSI_CAP)
     for index in (ps.number, ps.factorial, ps.psi_weight):
         with pytest.raises(ValueError, match="outside the sequence cap"):
-            index(9)
+            index(PSI_CAP + 1)
         with pytest.raises(ValueError, match="outside the sequence cap"):
             index(-1)
     with pytest.raises(ValueError, match="outside the sequence cap"):
-        ps.binomial(9, 4)
+        ps.binomial(PSI_CAP + 1, 4)
 
 
 def test_sequence_kind_and_cap_rejected():
-    with pytest.raises(ValueError, match="unknown sequence kind"):
-        PsiSequence("mystery")
-    for build in (lambda: PsiSequence.q_deformation(0.5, cap=-3),
-                  lambda: PsiSequence.classical(cap=-1)):
-        with pytest.raises(ValueError, match="cap must be nonnegative"):
-            build()
-    for ps in (PsiSequence.q_deformation(0.5, cap=0), PsiSequence.classical(cap=0)):
+    for ps in (PsiSequence.q_deformation(0.5), PsiSequence.classical()):
         assert ps.number(0) == 0 and ps.factorial(0) == 1.0 and ps.psi_weight(0) == 1.0
 
 
@@ -206,13 +215,13 @@ def test_lowering_skips_zero_coefficients():
 
 
 def test_zero_coefficients_past_the_cap_lower_to_zero():
-    ps = PsiSequence.q_deformation(0.5, cap=4)
-    s = make_series([(0, 1), (2, 3), (6, 0)])
+    ps = PsiSequence.q_deformation(0.5)
+    s = make_series([(0, 1), (2, 3), (PSI_CAP + 2, 0)])
     d = psi_derivative(s, ps)
-    assert d.max_deg == 5 and d.coeff(1) == 3 * ps.number(2)
+    assert d.max_deg == PSI_CAP + 1 and d.coeff(1) == 3 * ps.number(2)
     assert not any(d.coeffs[2:])
     with pytest.raises(ValueError):
-        psi_derivative(make_series([(0, 1), (5, 1)]), ps)
+        psi_derivative(make_series([(0, 1), (PSI_CAP + 1, 1)]), ps)
 
 
 def test_psi_derivative_rejects_negative_degrees():
@@ -248,7 +257,7 @@ def test_deformed_exponential_shapes():
     assert s.radius == pytest.approx(1.8)
     assert series_exp_psi(PsiSequence.q_deformation(2.0), 8).radius == 4.0
     with pytest.raises(ValueError):
-        series_exp_psi(PsiSequence.q_deformation(0.5, cap=4), 5)
+        series_exp_psi(ps, PSI_CAP + 1)
     with pytest.raises(ValueError, match="nonnegative"):
         series_exp_psi(ps, -1)
 
@@ -339,8 +348,8 @@ def test_explicit_weights_come_back_as_given():
 
 
 def test_near_classical_limit():
-    near = PsiSequence.q_deformation(1 + 1e-8, cap=40)
-    plain = PsiSequence.classical(cap=40)
+    near = PsiSequence.q_deformation(1 + 1e-8)
+    plain = PsiSequence.classical()
     for n in range(11):
         assert abs(near.number(n) - n) <= 1e-6
     for n in range(33):

@@ -137,6 +137,11 @@ def test_evaluation_domain_is_enforced():
     laurent = make_series([(-1, 1)])
     with pytest.raises(DomainError):
         laurent.evaluate(0)
+    # Finite coefficients whose sum is not finite: nan+nanj, then inf.
+    with pytest.raises(DomainError, match="not finite"):
+        TruncatedSeries(0, [1e300] * 65).evaluate(3.9)
+    with pytest.raises(DomainError, match="not finite"):
+        make_series([(-3, 1), (1, 1)]).evaluate(1e-200)
 
 
 def test_laurent_evaluation():
@@ -144,6 +149,72 @@ def test_laurent_evaluation():
     z = 0.5 + 0.25j
     want = 2 / z ** 2 + 1 - z
     assert abs(s.evaluate(z) - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_window_ending_below_degree_minus_one_evaluates_at_its_own_degrees():
+    assert make_series([(-5, 1)]).evaluate(2) == 2 ** -5
+    assert (make_series([(-1, 1)]) * make_series([(-2, 1)])).evaluate(2) == 2 ** -3
+    s = make_series([(-4, 2), (-3, 1j)])
+    z = 0.8 - 0.3j
+    want = 2 / z ** 4 + 1j / z ** 3
+    assert abs(s.evaluate(z) - want) <= 1e-14 * abs(want)
+
+
+def _draw_window(rng, kind):
+    """(degree, coefficient) pairs over a window below -1, across 0, or above 0."""
+    if kind == "below":
+        lo = rng.randint(-14, -3)
+        hi = rng.randint(lo, -2)
+    elif kind == "across":
+        lo, hi = rng.randint(-8, -1), rng.randint(1, 8)
+    else:
+        lo = rng.randint(1, 8)
+        hi = rng.randint(lo, 14)
+    return [(d, 0j if rng.random() < 0.2 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            for d in range(lo, hi + 1)]
+
+
+def _direct_sum(terms, z):
+    """sum c z**d over (d, c) pairs, and its majorant sum |c| |z|**d."""
+    return (sum(c * z ** d for d, c in terms),
+            sum(abs(c) * abs(z) ** d for d, c in terms))
+
+
+def _jackson_terms(terms, q):
+    """[d]_q c z**(d-1) with [d]_q spelled out as its sum of powers of q."""
+    out = []
+    for d, c in terms:
+        powers = range(d) if d > 0 else range(d, 0)
+        out += [(d - 1, (c if d > 0 else -c) * q ** j) for j in powers]
+    return out
+
+
+def test_series_operations_match_the_direct_sum():
+    rng = random.Random(20)
+    for case in range(240):
+        kind = ("below", "across", "above")[case % 3]
+        s_terms, t_terms = _draw_window(rng, kind), _draw_window(rng, kind)
+        s, t = make_series(s_terms), make_series(t_terms)
+        z = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi))
+        lam = cmath.rect(rng.uniform(0.5, 2), rng.uniform(0, 2 * math.pi))
+        q = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * math.pi))
+        n = rng.randint(2, 5)
+        k = rng.randrange(n)
+        alpha = cmath.rect(rng.uniform(0.5, 2), rng.uniform(0, 2 * math.pi))
+        checks = {
+            "evaluate": (s, s_terms),
+            "+": (s + t, s_terms + t_terms),
+            "*": (s * t, [(d + e, a * b) for d, a in s_terms for e, b in t_terms]),
+            "derivative": (s.derivative(), [(d - 1, d * c) for d, c in s_terms]),
+            "scale_argument": (s.scale_argument(lam), [(d, c * lam ** d) for d, c in s_terms]),
+            "project_series": (project_series(s, make_context(n), k, alpha_root(alpha, n)),
+                               [(d, c * alpha ** ((d - k) // n))
+                                for d, c in s_terms if (d - k) % n == 0]),
+            "jackson_derivative": (jackson_derivative(s, q), _jackson_terms(s_terms, q)),
+        }
+        for op, (got, terms) in checks.items():
+            want, scale = _direct_sum(terms, z)
+            assert abs(got.evaluate(z) - want) <= 1e-12 * scale, (case, kind, op)
 
 
 def test_scale_argument_on_laurent_degrees():
