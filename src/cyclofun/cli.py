@@ -152,8 +152,7 @@ def _cmd_decompose(args) -> int:
     elif args.format == "csv":
         lines = ["component,degree,re,im"]
         for k, c in enumerate(comps):
-            for d in c.degrees():
-                v = c.coeff(d)
+            for d, v in zip(c.degrees(), c.coeffs):
                 if v != 0:
                     lines.append(f"{k},{d},{_fmt(v.real)},{_fmt(v.imag)}")
         _emit(args, "\n".join(lines) + "\n")
@@ -165,8 +164,7 @@ def _cmd_decompose(args) -> int:
         for k, c in enumerate(comps):
             lines.append(f"component {k} (degrees = {k} mod {args.n}), "
                          f"window [{c.min_deg}, {c.max_deg}]:")
-            for d in c.degrees():
-                v = c.coeff(d)
+            for d, v in zip(c.degrees(), c.coeffs):
                 if v != 0:
                     lines.append(f"  deg {d}: {_fmt_complex(v)}")
         lines.append("re-verification: ok")

@@ -118,7 +118,7 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
     out[first::n] = sieved
     radius = _scaled_radius(s.radius, a.root, kept, sieved) if a.alpha else math.inf
     # Only the sieved entries are new; the rest of the window is zeros.
-    return TruncatedSeries(s.min_deg, _Coeffs(out), label=s.label, radius=radius)
+    return TruncatedSeries(s.min_deg, _Coeffs(out), label=s.label, radius=radius, _stride=(n, k))
 
 
 def project_pointwise(f: Callable[[complex], complex], ctx: CyclicContext,

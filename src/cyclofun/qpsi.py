@@ -63,11 +63,14 @@ def q_number(q, k: int):
 
     Negative k uses [−m]_q = −q**(−m) [m]_q, the analytic continuation of
     (q**k - 1)/(q - 1), or the equal −[m]_{1/q} / q where that product is nan
-    (0 * inf).  The cumulative sum avoids the closed form's cancellation near q = 1.
+    or overflows.  The cumulative sum avoids the closed form's cancellation near q = 1.
     """
     k = int(k)
     if k < 0:
-        value = -(q ** k) * q_number(q, -k)
+        try:
+            value = -(q ** k) * q_number(q, -k)
+        except OverflowError:  # an int q's exact [m]_q past double range, or q**k
+            value = math.nan
         return value if value == value else -q_number(1 / q, -k) / q
     return _q_numbers(type(q), q).upto(k)[k]
 
@@ -357,16 +360,14 @@ def verify_psi_binomial(family: Sequence[TruncatedSeries], ps: PsiSequence,
         raise ValueError(f"rhs_basis must be 'family' or 'powers', got {rhs_basis!r}")
     x, y = complex(x), complex(y)
     worst = 0.0
+    px = [p.evaluate(x) for p in family]
+    py = [p.evaluate(y) if rhs_basis == "family" else _ipow(y, j) for j, p in enumerate(family)]
     for n in range(len(family)):
         lhs = generalized_translation(family[n], y, ps, operator).evaluate(x)
         rhs = 0j
         for k in range(n + 1):
-            yfac = (family[n - k].evaluate(y) if rhs_basis == "family"
-                    else _ipow(y, n - k))
-            rhs += ps.binomial(n, k) * family[k].evaluate(x) * yfac
-        gap = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-        if gap > worst:
-            worst = gap
+            rhs += ps.binomial(n, k) * px[k] * py[n - k]
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     params = {"kind": ps.kind, "x": x, "y": y,
               "degree_max": len(family) - 1, "rhs_basis": rhs_basis}
     if ps.kind == "q":
@@ -389,12 +390,8 @@ def verify_generating_function(ps: PsiSequence, ctx: CyclicContext, a: AlphaRoot
     fam = build_psi_hyperbolic(ps, ctx, a, trunc)
     rhs = h_eval(fam, s, x * z, "series")
     lhs = 0j
-    m = 0
-    while ctx.n * m + s <= trunc:
-        d = ctx.n * m + s
-        lhs += (_ipow(a.alpha, m) * ps.psi_weight(d)
-                * _ipow(x, d) * _ipow(z, d))
-        m += 1
+    for m, d in enumerate(range(s, trunc + 1, ctx.n)):  # d = n m + s
+        lhs += _ipow(a.alpha, m) * ps.psi_weight(d) * _ipow(x, d) * _ipow(z, d)
     residual = relative_residual(lhs, rhs)
     params = {"kind": ps.kind, "n": ctx.n, "alpha": a.alpha, "branch": a.branch,
               "s": s, "x": x, "z": z, "trunc": trunc}

@@ -8,6 +8,7 @@ operations return new values, so series can be shared freely across threads.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import sys
 from typing import Callable, Iterable, Sequence
@@ -81,6 +82,10 @@ def _ipow(base: complex, exponent: int) -> complex:
     return base ** exponent
 
 
+def _normal(x: complex) -> complex:
+    return x if sys.float_info.min <= abs(x) < math.inf else math.nan
+
+
 def _scaled_radius(radius: float, factor: complex, before, after) -> float:
     """radius / |factor| for f(factor z), but no wider than radius once a normal
     coefficient in `before` fell below the smallest normal float in `after`:
@@ -96,13 +101,14 @@ class TruncatedSeries:
 
     Evaluation is restricted to the closed disk |z| <= radius.  Input
     coefficients are converted to complex and checked once, here; the
-    operations pass their results in as already checked.
+    operations pass their results in as already checked.  The internal stride
+    (n, k) of a sieve says every nonzero degree is k mod n; all else has (1, 0).
     """
 
-    __slots__ = ("min_deg", "max_deg", "coeffs", "label", "radius")
+    __slots__ = ("min_deg", "max_deg", "coeffs", "label", "radius", "_stride")
 
     def __init__(self, min_deg: int, coeffs: Sequence[complex], label: str | None = None,
-                 radius: float = ENTIRE_MAX_ABS_ARG):
+                 radius: float = ENTIRE_MAX_ABS_ARG, *, _stride: tuple[int, int] = (1, 0)):
         if isinstance(coeffs, _Coeffs):
             cs = coeffs
         else:
@@ -117,6 +123,7 @@ class TruncatedSeries:
         self.coeffs = cs
         self.label = label
         self.radius = radius
+        self._stride = _stride
 
     # -- inspection ---------------------------------------------------------
 
@@ -148,6 +155,11 @@ class TruncatedSeries:
                 f"|z| = {abs(z):.6g} exceeds the evaluation bound {self.radius:.6g}")
         if self.min_deg < 0 and z == 0:
             raise DomainError("z = 0 is outside the domain of a negative-degree window")
+        if self._stride[0] > 1:  # a sieve sums its class; where that fails, the dense steps do
+            with contextlib.suppress(OverflowError):
+                total = self._class_sum(z, *self._stride)
+                if cmath.isfinite(total):
+                    return total
         total = 0j
         if self.max_deg >= 0:
             lo = max(self.min_deg, 0)
@@ -169,6 +181,24 @@ class TruncatedSeries:
             raise DomainError(f"the series value at z = {z} is not finite, got {total!r}")
         return total
 
+    def _class_sum(self, z: complex, n: int, k: int) -> complex:
+        """Horner in z**n and (1/z)**n over degrees k mod n, each half scaled once at its end,
+        so no term shrinks below its share and grows back; nan if a power is not normal."""
+        total = 0j
+        if self.max_deg >= 0:
+            first = max(self.min_deg, 0) + (k - max(self.min_deg, 0)) % n
+            w, acc = _normal(z ** n), 0j
+            for c in reversed(self.coeffs[first - self.min_deg::n]):
+                acc = acc * w + c
+            total += acc * _normal(_ipow(z, first))
+        if self.min_deg < 0:
+            e, u, acc = min(self.max_deg, -1), 1 / z, 0j  # the last class degree: e - (e - k) % n
+            v = _normal(u ** n)
+            for c in self.coeffs[(k - self.min_deg) % n:e - self.min_deg + 1:n]:
+                acc = acc * v + c
+            total += acc * _normal(_ipow(u, (e - k) % n - e))
+        return total
+
     # -- structural operations ----------------------------------------------
 
     def scale_argument(self, lam: complex) -> "TruncatedSeries":
@@ -187,7 +217,7 @@ class TruncatedSeries:
         return _termwise_lower(self, complex)
 
     def with_label(self, label: str | None) -> "TruncatedSeries":
-        return TruncatedSeries(self.min_deg, self.coeffs, label=label, radius=self.radius)
+        return TruncatedSeries(self.min_deg, self.coeffs, label, self.radius, _stride=self._stride)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -1,0 +1,20 @@
+"""Hypothesis profiles for the test suite.
+
+`HYPOTHESIS_PROFILE=ci` loads the `ci` profile: examples are derived from
+each test's code rather than drawn at random, so a failing property test in
+CI fails the same way on any machine, and the failure prints the blob that
+`@reproduce_failure` replays.  Without hypothesis installed this file does
+nothing, and only the modules that import hypothesis fail to collect.
+"""
+
+import os
+
+try:
+    from hypothesis import settings
+except ImportError:
+    settings = None
+
+if settings is not None:
+    settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+    if os.environ.get("HYPOTHESIS_PROFILE"):
+        settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])

@@ -120,6 +120,35 @@ def test_eval_of_a_value_that_is_not_finite_exits_4(tmp_path, capsys):
         assert "is not finite" in err
 
 
+def test_eval_series_route_where_a_class_power_overflows(tmp_path, capsys):
+    # A sieved component steps by z**n; where that power overflows, the value
+    # and the refusal are those of the dense steps.
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"min_deg": -3, "coeffs": [[1, 0]] * 5}))
+    code, out, err = run_cli(capsys, "eval", "--input", str(tiny), "--n", "2", "--z", "1e-200")
+    assert code == 4 and out == ""
+    assert err == ("domain error: the series value at z = (1e-200+0j) is not finite,"
+                   " got (inf+0j)\n")
+    for n, s, z, want in (("2", "1", "1e200", "9.9999999999999997e+199"),
+                          ("3", "2", "1e120", "5.0000000000000001e+239")):
+        code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", n, "--alpha", "0",
+                                 "--s", s, "--z", z, "--method", "series")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == f"series: {want}"
+
+
+def test_eval_series_route_of_a_tiny_negative_degree_term(tmp_path, capsys):
+    # (1/4)**40 times the coefficient is below the normal floats; the value,
+    # the coefficient over 4, is not, and comes out correctly rounded.
+    for c, want in (("1e-300", "2.5000000000000001e-301"), ("1e-290", "2.5000000000000002e-291")):
+        src = tmp_path / "tiny.json"
+        src.write_text(f'{{"min_deg": -1, "coeffs": [[{c}, 0]]}}')
+        code, out, err = run_cli(capsys, "eval", "--input", str(src), "--n", "40", "--s", "39",
+                                 "--z", "4", "--method", "series")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == f"series: {want}"
+
+
 def test_eval_of_a_window_ending_below_degree_minus_one(tmp_path, capsys):
     src = tmp_path / "low.json"
     src.write_text(json.dumps({"min_deg": -6, "coeffs": [[1, 0], [0, 0], [0, 0], [0, 0]]}))

@@ -3,7 +3,9 @@
 import cmath
 import math
 import random
+import re
 
+import mpmath
 import pytest
 
 from cyclofun.cyclic import (
@@ -13,6 +15,8 @@ from cyclofun.cyclic import (
     project_pointwise,
     project_series,
 )
+from cyclofun.hyperbolic import laurent_component
+from cyclofun.qpsi import PsiSequence, jackson_derivative, psi_derivative
 from cyclofun.series import (
     DomainError,
     TruncatedSeries,
@@ -332,3 +336,173 @@ def test_series_and_pointwise_projections_agree():
                     via_series = project_series(s, ctx, k, a).evaluate(z)
                     via_points = project_pointwise(cmath.exp, ctx, k, a, z)
                     assert abs(via_series - via_points) <= 1e-10
+
+
+def _stride_window(rng, kind, n):
+    """A series over a window below -1, across 0 or above 0, with at most
+    three class steps either side of 0 (so 1e100**m stays finite), or exp's
+    degree-200 window, whose coefficients are 0.0 past degree 170."""
+    if kind == "exp":
+        return series_exp(200)
+    lo, hi = {"below": (rng.randint(-3 * n, -2), -2),
+              "across": (rng.randint(-3 * n, -1), rng.randint(0, 3 * n)),
+              "above": (rng.randint(1, 2 * n), 3 * n)}[kind]
+    hi = rng.randint(lo, hi)
+    return TruncatedSeries(lo, [0j if rng.random() < 0.2 else
+                                complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                for _ in range(hi - lo + 1)])
+
+
+def _outcome(s, z):
+    try:
+        return s.evaluate(z)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_sieved_component_evaluates_like_its_dense_copy_and_the_direct_sum():
+    # A sieve steps through its residue class in z**n; its dense copy, the same
+    # coefficients with stride (1, 0), steps through every degree.  Both must
+    # match the 50-digit direct sum within 1e-12 sum |c_d| |z|**d.
+    overflowed = 0
+    rng = random.Random(14)
+    alphas = (0, 1, -1, 2 + 1j, 1e-100, 1e100)
+    kinds = ("below", "across", "above", "exp")
+    case = 0
+    for n in range(2, 41):
+        ctx = make_context(n)
+        for k in range(n):
+            alpha, kind = alphas[case % 6], kinds[case // 6 % 4]
+            case += 1
+            if kind == "exp" and abs(alpha) > 10:
+                kind = "above"  # 1e100**m overflows the sieve of exp's long window
+            a = alpha_root(alpha, n)
+            s = project_series(_stride_window(rng, kind, n), ctx, k, a)
+            assert s._stride == (n, k)
+            dense = TruncatedSeries(s.min_deg, s.coeffs, radius=s.radius)
+            z = cmath.rect(min(s.radius, 2.0) * rng.choice((0.999, 0.7, 0.2)),
+                           rng.uniform(0, 2 * math.pi))
+            with mpmath.workdps(50):
+                terms = [mpmath.mpc(c) * mpmath.mpc(z) ** d
+                         for d, c in zip(s.degrees(), s.coeffs) if c]
+                want = mpmath.fsum(terms)
+                scale = mpmath.fsum(abs(t) for t in terms)
+            if scale > 1e300:  # past double range: both refuse, in the same words
+                assert _outcome(s, z) == _outcome(dense, z)
+                overflowed += 1
+                continue
+            for value in (s.evaluate(z), dense.evaluate(z)):
+                assert abs(value - want) <= 1e-12 * scale, (n, k, alpha, kind, z)
+    assert overflowed < case // 10
+
+
+def test_a_class_step_out_of_range_falls_back_to_the_dense_steps():
+    ctx = make_context(2)
+    one = alpha_root(1, 2)
+    # z**2 overflows: a component with a one-term class (alpha = 0).
+    s = project_series(series_exp(8), ctx, 1, alpha_root(0, 2))
+    assert s.evaluate(1e200) == 1e200
+    s3 = project_series(series_exp(8), make_context(3), 2, alpha_root(0, 3))
+    assert s3.evaluate(1e120) == 0.5 * 1e120 * 1e120
+    # (1/z)**2 overflows and the dense sum reaches inf: the refusal is the dense one.
+    tiny = project_series(make_series([(-3, 1), (-1, 1)]), ctx, 1, one)
+    with pytest.raises(DomainError, match="is not finite"):
+        tiny.evaluate(1e-200)
+    # A class power below the normal floats under a huge coefficient: the class
+    # steps would lose the term that the dense steps keep.
+    for base, n, k, z, want in (
+            (TruncatedSeries(0, [1e-300, 0, 1e300]), 2, 0, 1e-160, 1e-20),  # z**2
+            (TruncatedSeries(3, [0, 0, 0, 1e300]), 4, 2, 1e-60, 1e-60),  # z**6
+            (make_series([(-1200, 1e300), (-600, 1e300), (-1, 0)]), 600, 0, 3.9,  # z**-600
+             1e300 * mpmath.mpf(3.9) ** -600),
+            (make_series([(-601, 1e300), (-1, 0)]), 600, 599, 3.9,  # (1/z)**600
+             1e300 * mpmath.mpf(3.9) ** -601)):
+        s = project_series(base, make_context(n), k, alpha_root(1, n))
+        assert abs(s.evaluate(z) - want) <= 1e-12 * want, (n, k)
+    # (1/z)**40 shrinks a term of degree -1 that z**-1 keeps: the class steps
+    # scale it once, by 1/z, and never shrink it to grow it back.
+    for c in (1e-300, 1e-290):
+        s = project_series(make_series([(-1, c)]), make_context(40), 39, alpha_root(1, 40))
+        assert abs(s.evaluate(4) - c / 4) <= 1e-15 * c / 4
+    # An empty half of a class, and errors kept word for word.
+    for s, z in ((project_series(make_series([(-3, 1), (2, 5)]), make_context(8), 2,
+                                 alpha_root(1, 8)), 0.5),
+                 (project_series(series_geometric(8), ctx, 0, alpha_root(4, 2)), 0.8),
+                 (project_series(make_series([(-3, 1), (1, 1)]), ctx, 1, one), 0)):
+        dense = TruncatedSeries(s.min_deg, s.coeffs, radius=s.radius)
+        assert _outcome(s, z) == _outcome(dense, z)
+
+
+def test_class_steps_match_the_direct_sum_across_the_double_range():
+    # Coefficients from 1e-300 to 1e300 and |z| from 1e-300**(1/n) to
+    # 1e300**(1/n): the class steps are within 1e-12 sum |c_d| |z|**d of the
+    # 60-digit sum wherever the dense steps are, and refuse where they refuse.
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(600):
+        n = rng.randint(2, 40)
+        k = rng.randrange(n)
+        lo = rng.randint(-3 * n, 2 * n)
+        hi = rng.randint(lo, lo + 4 * n)
+        size = rng.uniform(-280, 280)
+        cs = [0j if (d - k) % n or rng.random() < 0.2 else
+              complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** (size + rng.uniform(-20, 20))
+              for d in range(lo, hi + 1)]
+        s = project_series(TruncatedSeries(lo, cs, radius=math.inf), make_context(n), k,
+                           alpha_root(1, n))
+        dense = TruncatedSeries(lo, s.coeffs, radius=math.inf)
+        z = cmath.rect(10 ** rng.uniform(-300 / n, 300 / n), rng.uniform(0, 2 * math.pi))
+        try:
+            got = s.evaluate(z)
+        except (DomainError, OverflowError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                dense.evaluate(z)
+            continue
+        with mpmath.workdps(60):
+            terms = [mpmath.mpc(c) * mpmath.mpc(z) ** d
+                     for d, c in zip(s.degrees(), s.coeffs) if c]
+            want, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+        if 1e-290 < scale and abs(dense.evaluate(z) - want) <= 1e-12 * scale:
+            assert abs(got - want) <= 1e-12 * scale, (n, k, lo, hi, z)
+            checked += 1
+    assert checked > 200
+
+
+def test_a_sieve_evaluates_by_its_class_steps():
+    # Where every class power is a normal float, the value is the class sum
+    # itself; the dense steps, which round differently, are not run.
+    ctx = make_context(7)
+    base = make_series([(d, complex(1 / (d + 30), 0.1 * d)) for d in range(-20, 40)])
+    s = laurent_component(base, ctx, alpha_root(2 + 1j, 7), 3)
+    dense = TruncatedSeries(s.min_deg, s.coeffs, radius=s.radius)
+    zs = [cmath.rect(0.3 + 0.05 * j, j) for j in range(20)]
+    assert all(s.evaluate(z) == s._class_sum(z, 7, 3) for z in zs)
+    assert any(s.evaluate(z) != dense.evaluate(z) for z in zs)
+
+
+def test_operations_on_a_sieved_component_are_dense():
+    # Only a relabel keeps the stride; every other result evaluates exactly as
+    # the same operation on a dense copy of the component.
+    ctx = make_context(5)
+    a = alpha_root(2 + 1j, 5)
+    ps = PsiSequence.q_deformation(0.5)
+    for lo in (-7, 0):  # psi derivatives take power series only
+        base = make_series([(d, complex(0.3 * d - 1, 0.1 * d)) for d in range(lo, 20)])
+        s = laurent_component(base, ctx, a, 3)
+        assert s._stride == (5, 3)
+        dense = TruncatedSeries(s.min_deg, s.coeffs, radius=s.radius)
+        other = project_series(base, ctx, 1, a)
+        ops = {
+            "+": lambda t: t + other, "*": lambda t: t * other,
+            "scalar *": lambda t: t * (2 - 1j), "-": lambda t: t - other,
+            "neg": lambda t: -t, "scale_argument": lambda t: t.scale_argument(0.5j),
+            "derivative": lambda t: t.derivative(),
+            "jackson_derivative": lambda t: jackson_derivative(t, 0.5),
+        }
+        if lo == 0:
+            ops["psi_derivative"] = lambda t: psi_derivative(t, ps)
+        for name, op in ops.items():
+            got, want = op(s), op(dense)
+            assert got._stride == (1, 0), name
+            for z in (0.3 + 0.1j, -0.2, 0.25j):
+                assert got.evaluate(z) == want.evaluate(z), (name, z)

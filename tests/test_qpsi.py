@@ -75,14 +75,16 @@ def test_deformed_integer_table_matches_the_running_sum():
 def test_negative_degree_q_numbers_stay_finite_where_the_power_underflows():
     # [-m]_q = -(q**-1 + ... + q**-m); q**-m underflows to 0 while [m]_q
     # overflows, and their product was nan.
+    # An int q keeps [m]_q exact, past double range from m = 1024 on.
     with mpmath.workdps(50):
-        for q, m in ((2.0, 1100), (-1e10, 40)):
+        for q, m in ((2.0, 1100), (-1e10, 40), (2, 1030), (2, 1100), (-2, 1100), (3, 700)):
             want = float(-mpmath.fsum(mpmath.mpf(q) ** -j for j in range(1, m + 1)))
             got = q_number(q, -m)
             assert abs(got - want) <= 1e-15 * abs(want), (q, m, got)
     d = jackson_derivative(make_series([(-40, 1), (0, 1)]), -1e10)
     assert d.coeff(-41) == q_number(-1e10, -40)
     assert abs(d.coeff(-41) - 1e-10) <= 1e-19
+    assert jackson_derivative(make_series([(-1100, 1)]), 2).coeff(-1101) == -1.0
 
 
 def test_deformed_integer_near_unit_has_no_cancellation():
@@ -442,6 +444,29 @@ def test_binomial_convolution_for_powers():
         ps = PsiSequence.q_deformation(q)
         rep = verify_psi_binomial(powers, ps, 1.1, -0.8, tolerance=1e-11)
         assert rep.passed
+
+
+def test_binomial_convolution_evaluates_each_member_once_per_point(monkeypatch):
+    # The reference sums p_k(x) p_{n-k}(y) with both evaluated inside the
+    # (n, k) loop; hoisting the evaluations keeps every product and its order.
+    fam = [Polynomial([complex(0.1 * j - 0.3, 0.2) for j in range(n + 1)])
+           for n in range(13)]
+    ps = PsiSequence.q_deformation(0.3 + 0.4j)
+    x, y = 0.7 - 0.2j, -0.4 + 0.5j
+    worst = 0.0
+    for n in range(len(fam)):
+        lhs = generalized_translation(fam[n], y, ps).evaluate(x)
+        rhs = 0j
+        for k in range(n + 1):
+            rhs += ps.binomial(n, k) * fam[k].evaluate(x) * fam[n - k].evaluate(y)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    calls = []
+    real = TruncatedSeries.evaluate
+    monkeypatch.setattr(TruncatedSeries, "evaluate", lambda s, z: calls.append(z) or real(s, z))
+    rep = verify_psi_binomial(fam, ps, x, y, tolerance=1e-3, expect="gt")
+    assert rep.residual == worst
+    # One translated lhs per degree, and each member once at x and once at y.
+    assert len(calls) == 3 * len(fam)
 
 
 def test_binomial_convolution_at_origin_is_exact():
