@@ -72,18 +72,36 @@ def _check_truncation(trunc: int) -> None:
 
 
 def _ipow(base: complex, exponent: int) -> complex:
-    """base ** exponent for integer exponents, with 0 ** 0 == 1."""
+    """base ** exponent for integer exponents, with 0 ** 0 == 1; base ** -m is (1/base) ** m
+    where 1 / base ** m raises or is not finite (base ** m left the double range)."""
     if exponent == 0:
         return 1 + 0j
     if base == 0:
         if exponent < 0:
             raise ZeroDivisionError("zero cannot be raised to a negative power")
         return 0j
-    return base ** exponent
+    try:
+        p = base ** exponent
+    except (ZeroDivisionError, OverflowError):
+        if exponent > 0:
+            raise
+        p = math.nan
+    return p if exponent > 0 or cmath.isfinite(p) else (1 / base) ** -exponent
 
 
 def _normal(x: complex) -> complex:
     return x if sys.float_info.min <= abs(x) < math.inf else math.nan
+
+
+def _times_power(acc: complex, base: complex, m: int) -> complex:
+    """acc * base**m (m >= 0), in three steps where base**m is not a normal float."""
+    try:
+        p = _ipow(base, m) if acc else 1  # a zero acc skips the power, which may overflow
+        if cmath.isfinite(_normal(p)):
+            return acc * p
+    except OverflowError:
+        pass
+    return acc * _ipow(base, m // 3) * _ipow(base, (m + 1) // 3) * _ipow(base, (m + 2) // 3)
 
 
 def _scaled_radius(radius: float, factor: complex, before, after) -> float:
@@ -144,7 +162,7 @@ class TruncatedSeries:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, z: complex) -> complex:
-        """Horner evaluation, negative and nonnegative halves separately.
+        """Horner evaluation: a sieve walks its class (n, k), any other series class (1, 0).
 
         Raises DomainError if |z| exceeds the radius, if z == 0 while the
         window contains negative degrees, or if the value is not finite.
@@ -155,48 +173,33 @@ class TruncatedSeries:
                 f"|z| = {abs(z):.6g} exceeds the evaluation bound {self.radius:.6g}")
         if self.min_deg < 0 and z == 0:
             raise DomainError("z = 0 is outside the domain of a negative-degree window")
-        if self._stride[0] > 1:  # a sieve sums its class; where that fails, the dense steps do
+        if self._stride[0] > 1:  # where a step power is not normal or the sum not finite, (1, 0)
             with contextlib.suppress(OverflowError):
                 total = self._class_sum(z, *self._stride)
                 if cmath.isfinite(total):
                     return total
-        total = 0j
-        if self.max_deg >= 0:
-            lo = max(self.min_deg, 0)
-            acc = 0j
-            for c in reversed(self.coeffs[lo - self.min_deg:]):
-                acc = acc * z + c
-            total += acc * _ipow(z, lo)
-        if self.min_deg < 0:
-            u = 1 / z
-            acc = 0j
-            for c in self.coeffs[:-self.min_deg]:
-                acc = (acc + c) * u
-            if self.max_deg < -1 and acc:
-                # The loop leaves the window's last entry at degree -1, not max_deg;
-                # a zero half skips the power, which may overflow.
-                acc *= _ipow(u, -1 - self.max_deg)
-            total += acc
+        total = self._class_sum(z, 1, 0)
         if not cmath.isfinite(total):
             raise DomainError(f"the series value at z = {z} is not finite, got {total!r}")
         return total
 
     def _class_sum(self, z: complex, n: int, k: int) -> complex:
         """Horner in z**n and (1/z)**n over degrees k mod n, each half scaled once at its end,
-        so no term shrinks below its share and grows back; nan if a power is not normal."""
+        so no term shrinks below its share and grows back; nan if a step power is not normal.
+        At n = 1 the steps are z and 1/z, unchecked: z = 0 and subnormal z are valid points."""
         total = 0j
         if self.max_deg >= 0:
             first = max(self.min_deg, 0) + (k - max(self.min_deg, 0)) % n
-            w, acc = _normal(z ** n), 0j
+            w, acc = _normal(z ** n) if n > 1 else z, 0j
             for c in reversed(self.coeffs[first - self.min_deg::n]):
                 acc = acc * w + c
-            total += acc * _normal(_ipow(z, first))
+            total += _times_power(acc, z, first)
         if self.min_deg < 0:
             e, u, acc = min(self.max_deg, -1), 1 / z, 0j  # the last class degree: e - (e - k) % n
-            v = _normal(u ** n)
+            v = _normal(u ** n) if n > 1 else u
             for c in self.coeffs[(k - self.min_deg) % n:e - self.min_deg + 1:n]:
                 acc = acc * v + c
-            total += acc * _normal(_ipow(u, (e - k) % n - e))
+            total += _times_power(acc, u, (e - k) % n - e)
         return total
 
     # -- structural operations ----------------------------------------------

@@ -149,6 +149,35 @@ def test_eval_series_route_of_a_tiny_negative_degree_term(tmp_path, capsys):
         assert out.splitlines()[1] == f"series: {want}"
 
 
+def test_negative_class_powers_of_alpha_outside_the_double_range(tmp_path, capsys):
+    # The weight of degree -8 is alpha**-4.  At alpha = 1e-100 it is 1e400, an overflow
+    # (exit 4), not an input error; at alpha = 1e100 it is 1e-400, which only underflows:
+    # that coefficient is 0 and the decomposition re-verifies.
+    src = tmp_path / "low.json"
+    src.write_text(json.dumps({"min_deg": -8, "coeffs": [[1, 0]] * 9}))
+    for argv in (("decompose", "--alpha", "1e-100"),
+                 ("eval", "--s", "0", "--alpha", "1e-100", "--z", "1e-60")):
+        code, out, err = run_cli(capsys, *argv, "--input", str(src), "--n", "2")
+        assert (code, out) == (4, ""), argv
+        assert err == "domain error: numeric overflow (complex exponentiation)\n"
+    code, out, err = run_cli(capsys, "decompose", "--input", str(src), "--n", "2",
+                             "--alpha", "1e100")
+    assert code == 0 and err == ""
+    assert "deg -8" not in out and "  deg -6: 1e-300\n" in out
+    assert out.endswith("re-verification: ok\n")
+
+
+def test_eval_of_a_term_whose_power_alone_underflows(tmp_path, capsys):
+    # z**20 = 1e-400 is below the doubles, but 1e300 * z**20 = 1e-100 is not.
+    src = tmp_path / "high.json"
+    src.write_text(json.dumps({"min_deg": 20, "coeffs": [[1e300, 0]]}))
+    code, out, err = run_cli(capsys, "eval", "--input", str(src), "--n", "2", "--s", "0",
+                             "--z", "1e-20", "--method", "series")
+    assert code == 0 and err == ""
+    value = float(out.splitlines()[1].removeprefix("series: "))
+    assert abs(value - 1e-100) <= 1e-12 * 1e-100
+
+
 def test_eval_of_a_window_ending_below_degree_minus_one(tmp_path, capsys):
     src = tmp_path / "low.json"
     src.write_text(json.dumps({"min_deg": -6, "coeffs": [[1, 0], [0, 0], [0, 0], [0, 0]]}))

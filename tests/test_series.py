@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -158,6 +159,167 @@ def test_window_ending_below_degree_minus_one_evaluates_at_its_own_degrees():
     z = 0.8 - 0.3j
     want = 2 / z ** 4 + 1j / z ** 3
     assert abs(s.evaluate(z) - want) <= 1e-14 * abs(want)
+
+
+# -- the class walk against the evaluation it replaced --------------------------
+
+def _old_end(b, m):
+    """The end power b**m (m >= 0) that the old evaluation applied in one step, or None
+    where that raised or was not a normal float."""
+    try:
+        p = b ** m
+    except OverflowError:
+        return None
+    return p if sys.float_info.min <= abs(p) < math.inf else None
+
+
+def _old_dense_steps(s, z):
+    """The dense Horner loops that evaluated every series before the class walk, for a
+    window ending at degree -1 or above; None where the end power was not normal."""
+    total = 0j
+    if s.max_deg >= 0:
+        lo = max(s.min_deg, 0)
+        end, acc = _old_end(z, lo), 0j
+        if end is None:
+            return None
+        for c in reversed(s.coeffs[lo - s.min_deg:]):
+            acc = acc * z + c
+        total += acc * end
+    if s.min_deg < 0:
+        u, acc = 1 / z, 0j
+        for c in s.coeffs[:-s.min_deg]:
+            acc = (acc + c) * u
+        total += acc
+    return total
+
+
+def _old_class_sum(s, z, n, k):
+    """A sieve's class sum as it was: nan where a step power was not a normal float (the
+    dense steps then decided), None where only an end power was not."""
+    w = z ** n if s.max_deg >= 0 else 1
+    v = (1 / z) ** n if s.min_deg < 0 else 1
+    if not all(sys.float_info.min <= abs(x) < math.inf for x in (w, v)):
+        return math.nan
+    total = 0j
+    if s.max_deg >= 0:
+        first = max(s.min_deg, 0) + (k - max(s.min_deg, 0)) % n
+        end, acc = _old_end(z, first), 0j
+        if end is None:
+            return None
+        for c in reversed(s.coeffs[first - s.min_deg::n]):
+            acc = acc * w + c
+        total += acc * end
+    if s.min_deg < 0:
+        e, acc = min(s.max_deg, -1), 0j
+        end = _old_end(1 / z, (e - k) % n - e)
+        if end is None:
+            return None
+        for c in s.coeffs[(k - s.min_deg) % n:e - s.min_deg + 1:n]:
+            acc = acc * v + c
+        total += acc * end
+    return total
+
+
+def _old_outcome(s, z):
+    """What evaluate gave before the class walk, for a window ending at degree -1 or
+    above with an unbounded radius: the value or the refusal message, or None where an
+    end power was not a normal float (the walk applies that one in steps)."""
+    if s.min_deg < 0 and z == 0:
+        return "z = 0 is outside the domain of a negative-degree window"
+    total = math.nan
+    if s._stride[0] > 1:
+        try:
+            total = _old_class_sum(s, z, *s._stride)
+        except OverflowError:  # a step power overflowed
+            pass
+    if total is not None and not cmath.isfinite(total):
+        total = _old_dense_steps(s, z)
+        if total is not None and not cmath.isfinite(total):
+            return f"the series value at z = {z} is not finite, got {total!r}"
+    return total
+
+
+def _outcome(s, z):
+    try:
+        return s.evaluate(z)
+    except (DomainError, OverflowError) as exc:
+        return str(exc)
+
+
+def test_the_class_walk_matches_the_evaluation_it_replaced():
+    # Dense and sieved windows, coefficients from 1e-300 to 1e300, |z| from 1e-200 to
+    # 1e200 and z = 0.  A window ending at degree -1 or above gives the old value or
+    # refusal bit for bit wherever the old end power was a normal float.  One ending
+    # below -1, where the walk applies one end power in place of 1/z and a power of 1/z,
+    # is within 1e-13 sum |c_d| |z|**d of the 50-digit sum.
+    rng = random.Random(15)
+    same = near = 0
+    for case in range(1500):
+        n = rng.randint(2, 9)
+        k = rng.randrange(n)
+        lo = rng.randint(-3 * n, 2 * n)
+        below = case % 3 == 0 and lo < -1
+        hi = rng.randint(lo, -2) if below else rng.randint(max(lo, -1), max(lo, -1) + 3 * n)
+        size = rng.choice((rng.uniform(-3, 3), rng.uniform(-280, 280)))
+        cs = [0j if rng.random() < 0.2 else complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+              * 10 ** (size + rng.uniform(-20, 20)) for _ in range(lo, hi + 1)]
+        s = TruncatedSeries(lo, cs, radius=math.inf)
+        if case % 2:
+            try:
+                s = project_series(s, make_context(n), k,
+                                   alpha_root(rng.choice((1, -1, 2 + 1j, 1e-3)), n))
+            except DomainError:  # a weighted coefficient overflowed
+                continue
+        z = 0j if rng.random() < 0.05 and not below else cmath.rect(
+            10 ** rng.choice((rng.uniform(-1, 1), rng.uniform(-200, 200))),
+            rng.uniform(0, 2 * math.pi))
+        got = _outcome(s, z)
+        if not below:
+            want = _old_outcome(s, z)
+            if want is not None:
+                assert repr(got) == repr(want), (case, s, z)
+                same += 1
+            continue
+        with mpmath.workdps(50):
+            terms = [mpmath.mpc(c) * mpmath.mpc(z) ** d
+                     for d, c in zip(s.degrees(), s.coeffs) if c]
+            want, scale = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+        if 1e-290 < scale and (isinstance(got, complex) or scale < 1e290):
+            assert abs(got - want) <= 1e-13 * scale, (case, s, z)
+            near += 1
+    assert same > 800 and near > 100, (same, near)
+
+
+def test_an_end_power_out_of_the_normal_range_is_applied_in_steps():
+    # Windows starting above degree 0 or ending below -1, where z**min_deg or
+    # (1/z)**-max_deg alone leaves the normal floats but the value does not: it is
+    # within 1e-12 of the 50-digit sum.  Each term c_d z**d is a positive real.
+    rng = random.Random(16)
+    for case in range(200):
+        n = rng.randint(1, 6)
+        edge = rng.randint(3, 60) * (1 if case % 2 else -1)
+        k = edge % n  # the edge degree is in the class
+        lo, hi = (edge, edge + 3 * n) if edge > 0 else (edge - 3 * n, edge)
+        power = rng.uniform(310, 590) * rng.choice((1, -1))  # log10 |z|**edge
+        log_z = power / edge
+        value = rng.uniform(max(-300, power - 300), min(300, power + 300))  # log10 of edge term
+        theta = rng.uniform(0, 2 * math.pi)
+        cs = []
+        for d in range(lo, hi + 1):
+            log_c = value - d * log_z - (0 if d == edge else rng.uniform(0, 5))
+            keep = (d - k) % n == 0 and (d == edge or -300 < log_c < 300)
+            cs.append(cmath.rect(10 ** log_c, -d * theta) if keep else 0j)
+        s = TruncatedSeries(lo, cs, radius=math.inf)
+        if n > 1:
+            s = project_series(s, make_context(n), k, alpha_root(1, n))
+        z = cmath.rect(10 ** log_z, theta)
+        with mpmath.workdps(50):
+            want = mpmath.fsum(mpmath.mpc(c) * mpmath.mpc(z) ** d
+                               for d, c in zip(s.degrees(), s.coeffs) if c)
+        assert sys.float_info.min < abs(want) < sys.float_info.max
+        assert abs(s.evaluate(z) - want) <= 1e-12 * abs(want), (case, lo, hi, z)
+    # z**20 = 1e-400 under a coefficient 1e300: the value 1e-100, not 0.
+    assert abs(make_series([(20, 1e300)]).evaluate(1e-20) - 1e-100) <= 1e-112
 
 
 def _draw_window(rng, kind):
