@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cyclic import (AlphaRoot, CyclicContext, _check_root, _order, alpha_root, make_context,
                      project_series)
-from .hyperbolic import HyperbolicFamily, build_family, h_eval
+from .hyperbolic import HyperbolicFamily, _closed_components, build_family, h_eval
 from .reports import IdentityReport, relative_residual
 from .series import DEFAULT_TRUNCATION, TruncatedSeries, series_exp, series_geometric
 
@@ -208,6 +208,9 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
     ctx = make_context(n)
     fam = build_family(n, a, trunc)
     base_params = {"n": n, "alpha": a.alpha, "branch": a.branch, "z": z, "w": w}
+    if a.alpha != 0:  # every closed-route point read below, in one exp and one FFT
+        shifted = [z + u * w for u in ctx.omega_pow] if a.alpha == 1 else []
+        _closed_components(fam, [z, w, z + w, 2 * z, 3 * z, 4 * z, *shifted])
 
     hz = _component_values(fam, z)
     cz = circulant_from_components(hz, a.alpha)
@@ -234,9 +237,8 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
 
     if a.alpha == 1:
         ev = lambda s, v: h_eval(fam, s, v, "closed")
-        # h_l(z) h_0(w) = mean over k of h_l(z + omega**k w), for every l.  The
-        # calls go point by point so each point's components come from one
-        # closed-form vector; h_0(w) is asked once per l.
+        # h_l(z) h_0(w) = mean over k of h_l(z + omega**k w), for every l; h_0(w)
+        # is asked once per l.
         at_z = [ev(l, z) for l in range(n)]
         at_w = [ev(0, w) for _ in range(n)]
         rotated = [[ev(l, z + ctx.omega_pow[k] * w) for l in range(n)] for k in range(n)]

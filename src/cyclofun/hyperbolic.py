@@ -44,25 +44,28 @@ class HyperbolicFamily:
     root: AlphaRoot
     components: tuple[TruncatedSeries, ...]
     base: Callable[[complex], complex] = field(compare=False)
-    # The last closed-route point's component vector as one (z, values)
-    # tuple, read and replaced whole so a shared family never pairs a point
-    # with another point's values.
-    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # Closed-route rows by point, {z: (values, max_k |f|)} or {z: refusal}:
+    # one batch's rows, built in full and swapped in by one assignment, so a
+    # shared family never pairs a point with another point's values.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def _kernel(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The closed form's rotated roots omega**k r and weights r**-s / n, built
-        at the first closed-route call; None when alpha = 0."""
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray, list[float]] | None:
+        """The closed form's rotated roots omega**k r, weights r**-s / n and
+        rounding factors |r|**-s, built at the first closed-route call; None
+        when alpha = 0."""
         if self.root.alpha == 0:
             return None
         import numpy as np
 
         n, r = self.ctx.n, self.root.root
         # Weights past double range (|alpha| near the underflow limit) turn
-        # into a closed-form OverflowError when used.
+        # into a closed-form OverflowError when used.  A factor takes Python's
+        # pow(|r|, -s) as a numpy scalar: inf, not OverflowError, past that range.
         with np.errstate(all="ignore"):
             weights = np.power(r, -np.arange(n)) / n
-        return np.array(self.ctx.omega_pow) * r, weights
+            factors = [float(np.float64(abs(r)) ** -s) for s in range(n)]
+        return np.array(self.ctx.omega_pow) * r, weights, factors
 
 
 @lru_cache(maxsize=128)
@@ -81,7 +84,8 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
     method "series" runs Horner on the stored window, inside the component's
     radius; "closed", which no radius bounds, averages the base function over
     root-of-unity rotations of the scaled argument (alpha != 0 needed), makes
-    all n components at once and keeps them for the next call at the same z.
+    all n components at once and keeps them while z is in the family's last
+    batch of points (_closed_components; a point outside it is a batch of one).
     It raises DomainError when its rounding bound, eps max|f| |r|**-s (the
     weight-scaled transform error), exceeds 1e-9 max(1, |h_s|).
     """
@@ -93,33 +97,43 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
         raise ValueError(f"unknown method {method!r}")
     if fam._kernel is None:
         raise ValueError("closed form needs alpha != 0; use the series method")
-    memo = fam._memo
-    if memo is None or memo[0] != z:
-        memo = (z, *_closed_components(fam, z))
-        object.__setattr__(fam, "_memo", memo)
-    _, vals, fmax = memo
-    err = sys.float_info.epsilon * fmax * abs(fam.root.root) ** -s
+    row = fam._memo.get(z) or _closed_components(fam, [z])[z]
+    if isinstance(row, Exception):
+        raise row.with_traceback(None)
+    vals, fmax = row
+    err = sys.float_info.epsilon * fmax * fam._kernel[2][s]
     if err > 1e-9 and err > 1e-9 * abs(vals[s]):  # err > 1e-9 max(1, |h_s|)
         raise DomainError(f"closed form rounding bound {err:.3g} at z = {z} exceeds "
                           "1e-9 max(1, |value|); use the series method")
     return vals[s]
 
 
-def _closed_components(fam: HyperbolicFamily, z: complex) -> tuple[list[complex], float]:
-    """h_s(z) = r**-s fft([f(omega**k r z)]_k)[s] / n for every s, and max_k |f|."""
+def _closed_components(fam: HyperbolicFamily, zs: list[complex]) -> dict:
+    """The rows of points zs, swapped in as the family's memo: h_s(z) = r**-s
+    fft([f(omega**k r z)]_k)[s] / n for every s and max_k |f|, or the point's
+    OverflowError where a rotated argument or a value is not finite.  Only a
+    base that is not a ufunc, refusing an argument, refuses the whole call."""
     import numpy as np
 
-    rotated, weights = fam._kernel
-    args = rotated * z
+    rotated, weights, _ = fam._kernel
     with np.errstate(all="ignore"):
+        args = rotated * np.array(zs, dtype=complex)[:, None]
         if fam.base is cmath.exp:
             f = np.exp(args)
+        else:  # one argument at a time, none that overflowed; a refusal refuses the call
+            f = np.array([[fam.base(v) for v in row] if all(map(cmath.isfinite, row))
+                          else [cmath.nan] * len(row) for row in args.tolist()], dtype=complex)
+        vals = np.fft.fft(f, axis=1) * weights
+    memo = {}
+    for i, (z, v, fz, ok) in enumerate(zip(zs, vals.tolist(), f.tolist(),
+                                           np.isfinite(vals).all(axis=1))):
+        if ok:
+            memo[z] = v, max(map(abs, fz))
         else:
-            f = np.array([fam.base(v) for v in args.tolist()], dtype=complex)
-        vals = (np.fft.fft(f) * weights).tolist()
-    if not all(map(cmath.isfinite, vals)):
-        raise OverflowError(f"closed form overflows at z = {z}")
-    return vals, max(map(abs, f.tolist()))
+            where = "" if np.isfinite(args[i]).all() else f": |r z| = {abs(fam.root.root * z):.6g}"
+            memo[z] = OverflowError(f"closed form overflows at z = {z}{where}")
+    object.__setattr__(fam, "_memo", memo)
+    return memo
 
 
 def g_eval(ctx: CyclicContext, a: AlphaRoot, l: int, z: complex) -> complex:

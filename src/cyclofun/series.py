@@ -186,14 +186,15 @@ class TruncatedSeries:
     def _class_sum(self, z: complex, n: int, k: int) -> complex:
         """Horner in z**n and (1/z)**n over degrees k mod n, each half scaled once at its end,
         so no term shrinks below its share and grows back; nan if a step power is not normal.
-        At n = 1 the steps are z and 1/z, unchecked: z = 0 and subnormal z are valid points."""
+        At n = 1 the steps are z and 1/z, unchecked: z = 0 and subnormal z are valid points.
+        An end power z**0 is the product with 1 + 0j that _times_power would make."""
         total = 0j
         if self.max_deg >= 0:
             first = max(self.min_deg, 0) + (k - max(self.min_deg, 0)) % n
             w, acc = _normal(z ** n) if n > 1 else z, 0j
             for c in reversed(self.coeffs[first - self.min_deg::n]):
                 acc = acc * w + c
-            total += _times_power(acc, z, first)
+            total += _times_power(acc, z, first) if first else acc * (1 + 0j)
         if self.min_deg < 0:
             e, u, acc = min(self.max_deg, -1), 1 / z, 0j  # the last class degree: e - (e - k) % n
             v = _normal(u ** n) if n > 1 else u

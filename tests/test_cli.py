@@ -198,6 +198,22 @@ def test_eval_closed_route_is_not_bounded_by_the_series_disk(capsys):
     assert err == "domain error: numeric overflow (closed form overflows at z = (800+0j))\n"
 
 
+def test_eval_closed_route_refuses_an_overflowing_rotated_argument_without_a_warning():
+    # |r z| = 257**(1/3) * 1e308 is past double range.  The rotated arguments are
+    # formed with numpy's warnings off and the refusal names |r z|, for the vector
+    # exp and the deformed family's scalar base alike.  A fresh process turns
+    # every warning into an error.
+    for builtin in ("exp", "expq"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "cyclofun", "eval",
+             "--builtin", builtin, "--alpha", "257", "--s", "-1", "--z", "1e308",
+             "--method", "closed"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4 and proc.stdout == "", builtin
+        assert proc.stderr == ("domain error: numeric overflow (closed form overflows at "
+                               "z = (1e+308+0j): |r z| = inf)\n"), builtin
+
+
 def test_eval_series_route_uses_the_sieved_radius(capsys):
     # |r z| = 1.6 is outside the geometric bound 0.9: the radius is 0.9 / 2
     for cmd in ("eval", "det"):

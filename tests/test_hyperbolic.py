@@ -2,13 +2,17 @@
 
 import cmath
 import math
+import random
 
 import mpmath
+import numpy as np
 import pytest
 
+from cyclofun import demoivre
 from cyclofun.cyclic import alpha_root, make_context
 from cyclofun.hyperbolic import (
     HyperbolicFamily,
+    _closed_components,
     build_family,
     g_eval,
     h_eval,
@@ -113,11 +117,81 @@ def test_closed_memo_never_returns_another_points_values():
         for point in (z, w, z, z, w):
             want = h_eval(fam, s, point, "series")
             assert abs(h_eval(fam, s, point, "closed") - want) <= 1e-13 * max(1.0, abs(want))
-    # the closed route's own guards still run, and a refused point leaves the
-    # memo on the earlier point
+    # the closed route's own guards still run: a refused point is kept as its
+    # refusal, raised again at every read, and leaves the other rows whole
+    far = 800 * z / abs(z)
     with pytest.raises(OverflowError):
-        h_eval(fam, 0, 800 * z / abs(z), "closed")
-    assert fam._memo[0] == w
+        h_eval(fam, 0, far, "closed")
+    assert list(fam._memo) == [far] and isinstance(fam._memo[far], OverflowError)
+    _closed_components(fam, [z, far, w])
+    assert list(fam._memo) == [z, far, w]
+    for s in range(4):
+        with pytest.raises(OverflowError):
+            h_eval(fam, s, far, "closed")
+        for point in (w, z):
+            want = h_eval(fam, s, point, "series")
+            assert abs(h_eval(fam, s, point, "closed") - want) <= 1e-13 * max(1.0, abs(want))
+    assert list(fam._memo) == [z, far, w]  # every read above was a memo hit
+
+
+def _rows_alone(fam, zs):
+    """Each point's closed-route row from a batch of its own, as printed."""
+    return [repr(_closed_components(fam, [z])[z]) for z in zs]
+
+
+def test_batched_closed_rows_equal_one_point_rows_bit_for_bit():
+    rng = random.Random(16)
+    for n in (2, 3, 5, 16, 64):
+        for alpha in (1, -1, 2 + 1j, 1e-6):
+            fam = build_family(n, alpha_root(alpha, n))
+            zs = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(n + 6)]
+            batch = _closed_components(fam, zs)
+            assert [repr(batch[z]) for z in zs] == _rows_alone(fam, zs), (n, alpha)
+            # and the one-point transform written out: exp of omega**k r times z
+            rotated, weights, _ = fam._kernel
+            for z in zs:
+                f = np.exp(rotated * z)
+                want = ((np.fft.fft(f) * weights).tolist(), max(map(abs, f.tolist())))
+                assert repr(batch[z]) == repr(want), (n, alpha, z)
+
+
+def test_a_refused_point_refuses_only_its_own_row():
+    for n in (2, 3, 5, 16, 64):
+        for alpha in (1, -1, 2 + 1j, 1e-6):
+            fam = build_family(n, alpha_root(alpha, n))
+            r = fam.root.root
+            # exp overflows at r z = 800, the rotated argument itself at |r z| > 1e308
+            zs = [0.5 - 0.25j, 800 / r, 1.25j, 1e308 / min(abs(r), 1) * 4, -2.0]
+            batch = _closed_components(fam, zs)
+            assert [str(batch[z]) for z in zs[1:4:2]] == [
+                f"closed form overflows at z = {zs[1]}",
+                f"closed form overflows at z = {zs[3]}: |r z| = inf"], (n, alpha)
+            fine = zs[0::2]
+            assert [repr(batch[z]) for z in fine] == _rows_alone(fam, fine), (n, alpha)
+            _closed_components(fam, zs)
+            for s in range(n):
+                for z in zs[1:4:2]:
+                    with pytest.raises(OverflowError, match="closed form overflows at z = "):
+                        h_eval(fam, s, z, "closed")
+    # a scalar base is never applied to the arguments of a point refused for them
+    fam = build_psi_hyperbolic(PsiSequence.q_deformation(0.5), make_context(2), alpha_root(4, 2))
+    batch = _closed_components(fam, [0.25, 1e308])
+    assert repr(batch[0.25]) == _rows_alone(fam, [0.25])[0]
+    assert str(batch[1e308]) == "closed form overflows at z = 1e+308: |r z| = inf"
+
+
+def test_identity_suite_reports_equal_without_the_batch(monkeypatch):
+    rng = random.Random(3)
+    for n in (2, 3, 16):
+        for alpha in (1, -1, 2 + 1j, 1e-6):
+            a = alpha_root(alpha, n)
+            z, w = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
+            batched = [repr(r) for r in demoivre.identity_suite(n, a, z, w)]
+            with monkeypatch.context() as m:
+                m.setattr(demoivre, "_closed_components", lambda fam, zs: None)
+                build_family.cache_clear()
+                alone = [repr(r) for r in demoivre.identity_suite(n, a, z, w)]
+            assert batched == alone, (n, alpha)
 
 
 def test_families_never_share_a_closed_memo():
