@@ -102,16 +102,17 @@ def _load_series(args) -> tuple[TruncatedSeries, dict]:
             except RecursionError:
                 raise ValueError(f"{args.input}: JSON nested too deeply") from None
         return series_from_json(obj), {"input": args.input}
-    name = args.builtin
-    if name == "exp":
+    if args.builtin == "exp":
         return series_exp(args.trunc), {"builtin": "exp"}
-    if name == "geometric":
+    if args.builtin == "geometric":
         return series_geometric(args.trunc), {"builtin": "geometric"}
-    if name == "expq":
-        ps = PsiSequence.q_deformation(args.q)
-        meta = {"builtin": "expq", "q": _pair(args.q)}
-        return series_exp_psi(ps, args.trunc), meta
-    raise ValueError(f"unknown builtin series {name!r}")
+    ps = PsiSequence.q_deformation(args.q)
+    return series_exp_psi(ps, args.trunc), {"builtin": "expq", "q": _pair(args.q)}
+
+
+def _family_text(args, a: AlphaRoot) -> str:
+    """The text header's family fields, n=... alpha=... branch=..."""
+    return f"n={args.n} alpha={_fmt_complex(a.alpha)} branch={a.branch}"
 
 
 # -- decompose ----------------------------------------------------------------
@@ -158,9 +159,7 @@ def _cmd_decompose(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
     else:
         src = meta.get("builtin") or meta.get("input")
-        lines = [f"decomposition of {src}: n={args.n} "
-                 f"alpha={_fmt_complex(a.alpha)} branch={a.branch} "
-                 f"root={_fmt_complex(a.root)}"]
+        lines = [f"decomposition of {src}: {_family_text(args, a)} root={_fmt_complex(a.root)}"]
         for k, c in enumerate(comps):
             lines.append(f"component {k} (degrees = {k} mod {args.n}), "
                          f"window [{c.min_deg}, {c.max_deg}]:")
@@ -232,9 +231,7 @@ def _cmd_eval(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
     else:
         src = meta.get("builtin") or meta.get("input")
-        lines = [f"component {s} of {src}: n={args.n} "
-                 f"alpha={_fmt_complex(a.alpha)} branch={a.branch} "
-                 f"z={_fmt_complex(args.z)}"]
+        lines = [f"component {s} of {src}: {_family_text(args, a)} z={_fmt_complex(args.z)}"]
         for k, v in values.items():
             lines.append(f"{k}: {_fmt_complex(v)}")
         if len(values) == 2:
@@ -327,8 +324,7 @@ def _cmd_det(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
     else:
         lines = [
-            f"twisted circulant determinant: n={args.n} "
-            f"alpha={_fmt_complex(a.alpha)} branch={a.branch}",
+            f"twisted circulant determinant: {_family_text(args, a)}",
             f"spectral: {_fmt_complex(spectral)}",
             f"direct:   {_fmt_complex(direct)}",
             f"difference: {_fmt(diff)} (tolerance {_fmt(tol)}) "
@@ -353,6 +349,14 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
                    help=f"series truncation degree (default {DEFAULT_TRUNCATION})")
 
 
+def _add_source_options(p: argparse.ArgumentParser) -> None:
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--builtin", choices=("exp", "geometric", "expq"),
+                     default="exp", help="builtin base series (default exp)")
+    src.add_argument("--input", default=None,
+                     help="path to a series JSON file")
+
+
 def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv", "text"), default="text",
                    help="output format (default text)")
@@ -369,21 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose",
                        help="sieve a series into weighted cyclic components")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--builtin", choices=("exp", "geometric", "expq"),
-                     default="exp", help="builtin base series (default exp)")
-    src.add_argument("--input", default=None,
-                     help="path to a series JSON file")
+    _add_source_options(p)
     _add_family_options(p)
     _add_output_options(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("eval", help="evaluate one component at a point")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--builtin", choices=("exp", "geometric", "expq"),
-                     default="exp", help="builtin base series (default exp)")
-    src.add_argument("--input", default=None,
-                     help="path to a series JSON file")
+    _add_source_options(p)
     p.add_argument("--s", type=int, default=0, help="component index (default 0)")
     p.add_argument("--z", type=parse_complex, required=True,
                    help="evaluation point")

@@ -123,8 +123,7 @@ def sylvester_matrix(ctx: CyclicContext) -> np.ndarray:
     return np.array(ctx.omega_pow)[np.outer(k, k) % n] * (1 / math.sqrt(n))
 
 
-def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled",
-                    trunc: int = DEFAULT_TRUNCATION) -> np.ndarray:
+def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled") -> np.ndarray:
     """The matrix exponential of the twisted shift times z.
 
     "assembled" places the hyperbolic component values into the twisted
@@ -139,7 +138,7 @@ def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled",
     n = _order(n)
     z = complex(z)
     if method == "assembled":
-        fam = build_family(n, a, trunc)
+        fam = build_family(n, a, DEFAULT_TRUNCATION)  # the cache key every caller uses
         vals = _component_values(fam, z)
         return circulant_from_components(vals, a.alpha)
     if method != "taylor":
@@ -186,11 +185,9 @@ def _surface_value(vals: Sequence[complex], alpha: complex) -> complex:
     if len(vals) == 2:
         x, y = vals
         return x * x - alpha * y * y
-    if len(vals) == 3:
-        x, y, zc = vals
-        return (x ** 3 + alpha * y ** 3 + alpha ** 2 * zc ** 3
-                - 3 * alpha * x * y * zc)
-    raise ValueError("surface polynomial only implemented for n = 2, 3")
+    x, y, zc = vals
+    return (x ** 3 + alpha * y ** 3 + alpha ** 2 * zc ** 3
+            - 3 * alpha * x * y * zc)
 
 
 def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
@@ -208,22 +205,20 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
     ctx = make_context(n)
     fam = build_family(n, a, trunc)
     base_params = {"n": n, "alpha": a.alpha, "branch": a.branch, "z": z, "w": w}
-    if a.alpha != 0:  # every closed-route point read below, in one exp and one FFT
-        shifted = [z + u * w for u in ctx.omega_pow] if a.alpha == 1 else []
-        _closed_components(fam, [z, w, z + w, 2 * z, 3 * z, 4 * z, *shifted])
+    points = [z, w, z + w, 2 * z, 3 * z, 4 * z]  # all read below, with shifted at alpha = 1
+    shifted = [z + u * w for u in ctx.omega_pow] if a.alpha == 1 else []
+    if a.alpha != 0:  # all closed-route points in one exp and one FFT
+        _closed_components(fam, points + shifted)
 
-    hz = _component_values(fam, z)
-    cz = circulant_from_components(hz, a.alpha)
-    cw = circulant_from_components(_component_values(fam, w), a.alpha)
-    czw = circulant_from_components(_component_values(fam, z + w), a.alpha)
+    vectors = [_component_values(fam, v) for v in points]
+    hz = vectors[0]
+    cz, cw, czw, *cpowers = (circulant_from_components(h, a.alpha) for h in vectors)
 
     czcw = cz @ cw
     reports: list[IdentityReport] = []
     reports.append(_report("group_law", base_params, cheb_norm(czcw - czw)))
 
-    for m in (2, 3, 4):
-        hm = _component_values(fam, m * z)
-        cm = circulant_from_components(hm, a.alpha)
+    for m, cm in zip((2, 3, 4), cpowers):
         reports.append(_report(
             f"matrix_power_m{m}", base_params,
             cheb_norm(np.linalg.matrix_power(cz, m) - cm)))
@@ -241,7 +236,7 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
         # is asked once per l.
         at_z = [ev(l, z) for l in range(n)]
         at_w = [ev(0, w) for _ in range(n)]
-        rotated = [[ev(l, z + ctx.omega_pow[k] * w) for l in range(n)] for k in range(n)]
+        rotated = [[ev(l, v) for l in range(n)] for v in shifted]
         worst = max(relative_residual(sum(column) / n, lhs_z * lhs_w)
                     for lhs_z, lhs_w, column in zip(at_z, at_w, zip(*rotated)))
         reports.append(_report("product_mean_rotation", base_params, worst))
@@ -251,7 +246,7 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
             np.abs(czw[0] - czcw[0]) / np.maximum(1.0, np.abs(czw[0])))))
 
         if n == 3:
-            h0_3z = ev(0, 3 * z)
+            h0_3z = vectors[4][0]
             triple = hz[0] * hz[1] * hz[2]
             reports.append(_report("triple_product", base_params,
                                    abs(triple - (h0_3z - 1) / 9)))
@@ -333,7 +328,7 @@ def circulant_checks(trunc: int = DEFAULT_TRUNCATION, seed: int = 0) -> list[Ide
     params = {"n": 3, "alpha": 1 + 0j, "series": "exp", "z": 0.2 + 0j, "w": 0.2 + 0j}
     reports.append(_report("exp_group_law_control", params,
                            circulant_group_law_residual(expo, 3, 0.2, 0.2)))
-    scaled = expo.scale_argument(2).with_label("exp(2z)")
+    scaled = expo.scale_argument(2)
     sparams = {**params, "series": "exp(2z)"}
     reports.append(_report("scaled_exp_group_law_control", sparams,
                            circulant_group_law_residual(scaled, 3, 0.2, 0.2)))

@@ -121,8 +121,14 @@ def _closed_components(fam: HyperbolicFamily, zs: list[complex]) -> dict:
         if fam.base is cmath.exp:
             f = np.exp(args)
         else:  # one argument at a time, none that overflowed; a refusal refuses the call
-            f = np.array([[fam.base(v) for v in row] if all(map(cmath.isfinite, row))
-                          else [cmath.nan] * len(row) for row in args.tolist()], dtype=complex)
+            f = np.full(args.shape, cmath.nan, dtype=complex)
+            for i, (z, row) in enumerate(zip(zs, args.tolist())):
+                if all(map(cmath.isfinite, row)):
+                    try:
+                        f[i] = [fam.base(v) for v in row]
+                    except DomainError as exc:  # the base names its own argument, omega**k r z
+                        raise DomainError(f"closed form at z = {z}: "
+                                          + str(exc).replace("|z|", "|r z|", 1)) from None
         vals = np.fft.fft(f, axis=1) * weights
     memo = {}
     for i, (z, v, fz, ok) in enumerate(zip(zs, vals.tolist(), f.tolist(),

@@ -214,6 +214,16 @@ def test_eval_closed_route_refuses_an_overflowing_rotated_argument_without_a_war
                                "z = (1e+308+0j): |r z| = inf)\n"), builtin
 
 
+def test_eval_closed_route_names_the_point_when_the_deformed_base_refuses(capsys):
+    # The deformed base checks its own argument, the rotated omega**k r z with
+    # |r z| = 2, against the series bound 1.8; the refusal names z = 1 and |r z|.
+    code, out, err = run_cli(capsys, "eval", "--builtin", "expq", "--n", "2", "--alpha", "4",
+                             "--z", "1", "--method", "closed")
+    assert code == 4 and out == ""
+    assert err == ("domain error: closed form at z = (1+0j): |r z| = 2 exceeds the "
+                   "evaluation bound 1.8\n")
+
+
 def test_eval_series_route_uses_the_sieved_radius(capsys):
     # |r z| = 1.6 is outside the geometric bound 0.9: the radius is 0.9 / 2
     for cmd in ("eval", "det"):

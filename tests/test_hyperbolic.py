@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cyclofun import demoivre
+from cyclofun import demoivre, hyperbolic
 from cyclofun.cyclic import alpha_root, make_context
 from cyclofun.hyperbolic import (
     HyperbolicFamily,
@@ -192,6 +192,39 @@ def test_identity_suite_reports_equal_without_the_batch(monkeypatch):
                 build_family.cache_clear()
                 alone = [repr(r) for r in demoivre.identity_suite(n, a, z, w)]
             assert batched == alone, (n, alpha)
+
+
+def test_a_draw_is_one_closed_batch(monkeypatch):
+    # identity_suite hands the kernel every closed-route point of a draw at once,
+    # so the kernel runs once and every closed read after it is a memo hit: a
+    # miss would call the kernel again through hyperbolic's own binding.
+    batches, reads = [], []
+    kernel = hyperbolic._closed_components
+
+    def counted_kernel(fam, zs):
+        batches.append(list(zs))
+        return kernel(fam, zs)
+
+    def recorded_read(fam, s, z, method="series"):
+        if method == "closed":
+            reads.append(complex(z))
+        return h_eval(fam, s, z, method)
+
+    monkeypatch.setattr(demoivre, "_closed_components", counted_kernel)
+    monkeypatch.setattr(hyperbolic, "_closed_components", counted_kernel)
+    monkeypatch.setattr(demoivre, "h_eval", recorded_read)
+    rng = random.Random(17)
+    for n in (2, 3, 16):
+        for alpha in (1, -1, 2 + 1j):
+            batches.clear()
+            reads.clear()
+            build_family.cache_clear()
+            z, w = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
+            demoivre.identity_suite(n, alpha_root(alpha, n), z, w)
+            assert len(batches) == 1, (n, alpha)
+            # six component vectors, and at alpha = 1 the product mean's n (n + 2) reads
+            assert len(reads) == 6 * n + (n * (n + 2) if alpha == 1 else 0), (n, alpha)
+            assert set(reads) <= set(batches[0]), (n, alpha)
 
 
 def test_families_never_share_a_closed_memo():
