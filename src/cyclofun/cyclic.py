@@ -83,7 +83,7 @@ def alpha_root(alpha: complex, n: int, branch: int = 0) -> AlphaRoot:
     branch = int(branch) % n
     if alpha == 0:
         return AlphaRoot(alpha, 0j, n, branch)
-    principal = abs(alpha) ** (1.0 / n) * cmath.exp(1j * cmath.phase(alpha) / n)
+    principal = abs(alpha) ** (1.0 / n) * cmath.exp(1j * math.atan2(alpha.imag, alpha.real) / n)
     root = principal * cmath.exp(2j * math.pi * branch / n)
     return AlphaRoot(alpha, root, n, branch)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cyclic import (AlphaRoot, CyclicContext, _check_root, _order, alpha_root, make_context,
@@ -33,7 +34,6 @@ __all__ = [
     "cheb_norm",
     "identity_suite",
     "circulant_group_law_residual",
-    "negative_check_non_exp",
     "circulant_checks",
     "demoivre_sweep",
     "IDENTITY_TOLERANCE",
@@ -283,80 +283,54 @@ def identity_suite(n: int, a: AlphaRoot, z: complex, w: complex,
     return reports
 
 
-# -- negative results ---------------------------------------------------------
+# -- circulant battery --------------------------------------------------------
 
-def circulant_group_law_residual(base: TruncatedSeries, n: int, z: complex,
+def circulant_group_law_residual(comps: Sequence[TruncatedSeries], z: complex,
                                  w: complex) -> float:
     """Chebyshev residual of C(z) C(w) = C(z+w) for the plain (alpha = 1)
-    circulant of the components of an arbitrary series."""
-    ctx = make_context(n)
-    one = alpha_root(1, n)
-    comps = [project_series(base, ctx, k, one) for k in range(n)]
-
+    circulant of a series' sieved components."""
     def circ(v: complex) -> np.ndarray:
         return circulant_from_components([c.evaluate(v) for c in comps], 1)
 
     return cheb_norm(circ(z) @ circ(w) - circ(z + w))
 
 
-def negative_check_non_exp(base: TruncatedSeries, n: int, z: complex,
-                           w: complex) -> list[IdentityReport]:
-    """Confirm the group law breaks for a non-exponential series while the
-    determinant factorization still holds."""
-    ctx = make_context(n)
-    one = alpha_root(1, n)
-    label = base.label or "series"
-    params = {"n": n, "alpha": 1 + 0j, "series": label, "z": complex(z), "w": complex(w)}
-    gl = circulant_group_law_residual(base, n, z, w)
-    comps = [project_series(base, ctx, k, one).evaluate(z) for k in range(n)]
-    spectral = circulant_det_spectral(comps, ctx, one)
-    det_res = relative_residual(spectral, _rotated_product(base.evaluate, ctx, one, z))
-    return [
-        _report("group_law_breaks", params, gl,
-                tolerance=GROUP_LAW_BREAK_FLOOR, expect="gt"),
-        _report("det_product_holds", params, det_res, tolerance=DET_TOLERANCE),
-    ]
-
-
 def circulant_checks(trunc: int = DEFAULT_TRUNCATION, seed: int = 0) -> list[IdentityReport]:
-    """The fixed circulant battery: negative controls plus determinant checks."""
-    reports: list[IdentityReport] = []
-    geo = series_geometric(trunc)
-    reports.extend(negative_check_non_exp(geo, 3, 0.2, 0.2))
-
-    expo = series_exp(trunc)
-    params = {"n": 3, "alpha": 1 + 0j, "series": "exp", "z": 0.2 + 0j, "w": 0.2 + 0j}
-    reports.append(_report("exp_group_law_control", params,
-                           circulant_group_law_residual(expo, 3, 0.2, 0.2)))
-    scaled = expo.scale_argument(2)
-    sparams = {**params, "series": "exp(2z)"}
-    reports.append(_report("scaled_exp_group_law_control", sparams,
-                           circulant_group_law_residual(scaled, 3, 0.2, 0.2)))
-
+    """The fixed circulant battery, each series sieved once at n = 3, alpha = 1: the
+    group law breaks for the geometric series and holds for exp and exp(2z), the
+    determinant factorization holds for all; then one seeded twisted circulant."""
     ctx = make_context(3)
     one = alpha_root(1, 3)
-    z = 0.3
-    comps = [project_series(geo, ctx, k, one).evaluate(z) for k in range(3)]
-    spectral = circulant_det_spectral(comps, ctx, one)
-    target = 1 / (1 - z ** 3)
-    reports.append(_report("geometric_det_value",
-                           {"n": 3, "alpha": 1 + 0j, "z": z + 0j},
-                           relative_residual(spectral, target),
-                           tolerance=DET_TOLERANCE))
+    geo = series_geometric(trunc)
+    expo = series_exp(trunc)
+    geo_c, exp_c, scaled_c = ([project_series(s, ctx, k, one) for k in range(3)]
+                              for s in (geo, expo, expo.scale_argument(2)))
 
+    def geo_det(v: float) -> complex:
+        return circulant_det_spectral([c.evaluate(v) for c in geo_c], ctx, one)
+
+    z = 0.2
+    params = {"n": 3, "alpha": 1 + 0j, "series": "geometric", "z": complex(z), "w": complex(z)}
     rng = random.Random(seed)
-    n4 = 4
-    ctx4 = make_context(n4)
     alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    a4 = alpha_root(alpha, n4)
-    vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n4)]
-    spec4 = circulant_det_spectral(vals, ctx4, a4)
-    direct4 = circulant_det_direct(circulant_from_components(vals, alpha))
-    reports.append(_report("random_circulant_spectral_vs_direct",
-                           {"n": n4, "alpha": alpha, "seed": seed},
-                           relative_residual(spec4, direct4),
-                           tolerance=DET_TOLERANCE))
-    return reports
+    vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+    return [
+        _report("group_law_breaks", params, circulant_group_law_residual(geo_c, z, z),
+                tolerance=GROUP_LAW_BREAK_FLOOR, expect="gt"),
+        _report("det_product_holds", params, relative_residual(
+            geo_det(z), _rotated_product(geo.evaluate, ctx, one, z)), tolerance=DET_TOLERANCE),
+        _report("exp_group_law_control", {**params, "series": "exp"},
+                circulant_group_law_residual(exp_c, z, z)),
+        _report("scaled_exp_group_law_control", {**params, "series": "exp(2z)"},
+                circulant_group_law_residual(scaled_c, z, z)),
+        _report("geometric_det_value", {"n": 3, "alpha": 1 + 0j, "z": 0.3 + 0j},
+                relative_residual(geo_det(0.3), 1 / (1 - 0.3 ** 3)), tolerance=DET_TOLERANCE),
+        _report("random_circulant_spectral_vs_direct", {"n": 4, "alpha": alpha, "seed": seed},
+                relative_residual(
+                    circulant_det_spectral(vals, make_context(4), alpha_root(alpha, 4)),
+                    circulant_det_direct(circulant_from_components(vals, alpha))),
+                tolerance=DET_TOLERANCE),
+    ]
 
 
 # -- aggregation for the CLI ----------------------------------------------------
@@ -387,6 +361,5 @@ def demoivre_sweep(n: int, a: AlphaRoot, draws: int, seed: int,
     for reps in zip(*runs):
         pick = min if reps[0].expect == "gt" else max
         rep = pick(reps, key=lambda r: r.residual)
-        out.append(IdentityReport(rep.identity, dict(params), rep.residual,
-                                  rep.tolerance, rep.expect))
+        out.append(replace(rep, params=dict(params)))
     return out

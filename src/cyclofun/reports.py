@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .series import _pair
@@ -61,8 +61,7 @@ class IdentityReport:
         return self.residual > self.tolerance
 
     def with_tolerance(self, tol: float) -> "IdentityReport":
-        return IdentityReport(self.identity, self.params, self.residual,
-                              float(tol), self.expect)
+        return replace(self, tolerance=float(tol))
 
     def to_dict(self) -> dict:
         return {

@@ -15,13 +15,12 @@ import pytest
 
 from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.demoivre import (
+    circulant_checks,
     circulant_det_direct,
     circulant_det_spectral,
     circulant_from_components,
-    circulant_group_law_residual,
     demoivre_sweep,
     identity_suite,
-    negative_check_non_exp,
 )
 from cyclofun.hyperbolic import build_family, h_eval, laurent_component
 from cyclofun.qpsi import (
@@ -37,7 +36,6 @@ from cyclofun.series import (
     DomainError,
     coeff_residual,
     make_series,
-    series_exp,
     series_geometric,
 )
 
@@ -181,14 +179,12 @@ def test_criterion_4_determinant_factorization():
 
 def test_criterion_5_negative_controls():
     with criterion(5, "non-exponential input breaks the group law only", 1.0):
-        geo = series_geometric(64)
-        reps = negative_check_non_exp(geo, 3, 0.2, 0.2)
-        byname = {r.identity: r for r in reps}
+        # geometric, exp and exp(2z) at n = 3, z = w = 0.2
+        byname = {r.identity: r for r in circulant_checks(64)}
         assert byname["group_law_breaks"].residual > 1e-3
         assert byname["det_product_holds"].residual < 1e-9
-        assert circulant_group_law_residual(series_exp(64), 3, 0.2, 0.2) < 1e-10
-        scaled = series_exp(64).scale_argument(2)
-        assert circulant_group_law_residual(scaled, 3, 0.2, 0.2) < 1e-10
+        assert byname["exp_group_law_control"].residual < 1e-10
+        assert byname["scaled_exp_group_law_control"].residual < 1e-10
 
 
 def test_criterion_6_deformed_calculus():

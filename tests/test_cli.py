@@ -186,6 +186,13 @@ def test_eval_of_a_window_ending_below_degree_minus_one(tmp_path, capsys):
     assert "series: 0.015625\n" in out
 
 
+def test_eval_at_an_alpha_whose_phase_underflows(capsys):
+    # The phase of 2+5e-324i underflows to 0: the value is the one at alpha = 2.
+    code, out, err = run_cli(capsys, "eval", "--n", "2", "--alpha", "2+5e-324i", "--z", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "series: 2.1781835566085705"
+
+
 def test_eval_closed_route_is_not_bounded_by_the_series_disk(capsys):
     code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", "2",
                              "--z", "5", "--method", "closed")

@@ -72,6 +72,15 @@ def test_root_examples():
         alpha_root(float("nan"), 2)
 
 
+def test_root_of_an_alpha_whose_phase_underflows():
+    # atan2(5e-324, 2) rounds to 0 from a nonzero quotient; the root is that of
+    # the real alpha, and a phase that is only subnormal is kept.
+    assert alpha_root(2 + 5e-324j, 2).root == alpha_root(2, 2).root
+    assert alpha_root(1e10 + 5e-324j, 5, branch=2).root == alpha_root(1e10, 5, branch=2).root
+    r = alpha_root(1 + 1e-320j, 2).root
+    assert r.real == 1 and r.imag == pytest.approx(5e-321, rel=1e-3)
+
+
 def test_root_powers_back_to_alpha():
     rng = random.Random(3)
     for _ in range(40):

@@ -3,12 +3,13 @@
 import cmath
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import cyclofun.demoivre as demoivre
-from cyclofun.cyclic import alpha_root, make_context
+from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.demoivre import (
     TAYLOR_TAIL_BOUND,
     _disk_point,
@@ -22,7 +23,6 @@ from cyclofun.demoivre import (
     demoivre_sweep,
     generator_matrix,
     identity_suite,
-    negative_check_non_exp,
     sylvester_matrix,
 )
 from cyclofun.hyperbolic import build_family, h_eval, laurent_component
@@ -350,18 +350,34 @@ def test_quartic_value_recorded_for_order_four():
 
 
 def test_non_exponential_series_break_the_group_law():
-    geo = series_geometric(64)
-    reps = negative_check_non_exp(geo, 3, 0.2, 0.2)
-    byname = {r.identity: r for r in reps}
-    assert byname["group_law_breaks"].passed
-    assert byname["group_law_breaks"].residual > 1e-3
-    assert byname["det_product_holds"].passed
+    byname = {r.identity: r for r in circulant_checks(64)}
+    breaks, holds = byname["group_law_breaks"], byname["det_product_holds"]
+    assert breaks.params == holds.params == {"n": 3, "alpha": 1 + 0j, "series": "geometric",
+                                             "z": 0.2 + 0j, "w": 0.2 + 0j}
+    assert breaks.passed and breaks.expect == "gt"
+    assert breaks.residual > 1e-3
+    assert holds.passed
 
 
 def test_exponential_scalings_keep_the_group_law():
+    ctx, one = make_context(3), alpha_root(1, 3)
     for lam in (1, 2, -0.7):
         scaled = series_exp(64).scale_argument(lam)
-        assert circulant_group_law_residual(scaled, 3, 0.2, 0.2) <= 1e-10
+        comps = [project_series(scaled, ctx, k, one) for k in range(3)]
+        assert circulant_group_law_residual(comps, 0.2, 0.2) <= 1e-10
+
+
+def test_circulant_battery_sieves_each_series_once(monkeypatch):
+    # One n = 3 context serves the geometric series, exp and exp(2z), each
+    # sieved once; the seeded n = 4 circulant takes the second context.
+    calls = Counter()
+    for name in ("project_series", "make_context"):
+        def counted(*args, _real=getattr(demoivre, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(demoivre, name, counted)
+    circulant_checks()
+    assert calls == {"project_series": 9, "make_context": 2}
 
 
 def test_circulant_battery_passes():
