@@ -3,13 +3,15 @@
     python3 scripts/compare_cli.py PARENT_SRC CHANGE_SRC
 
 Runs every argument list in COMMANDS as `python -X dev -W error -m cyclofun`,
-once with PYTHONPATH=PARENT_SRC and once with PYTHONPATH=CHANGE_SRC, from an
-empty working directory and without CYCLOFUN_TOL.  Prints each command whose
-stdout, stderr or exit code differs and exits 1 if any does, 0 otherwise.
+once with PYTHONPATH=PARENT_SRC and once with PYTHONPATH=CHANGE_SRC, from a
+temporary working directory that holds only SERIES_FILE, and without
+CYCLOFUN_TOL.  Prints each command whose stdout, stderr or exit code differs
+and exits 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +21,10 @@ from pathlib import Path
 
 FORMATS = ("text", "json", "csv")
 BUILTINS = ("exp", "geometric", "expq")
+# A Laurent series for the --input commands, written into the working directory.
+SERIES_FILE = "series.json"
+SERIES = {"min_deg": -1, "coeffs": [[1, 0], [0.5, -0.25], [2, 1], [0, 0], [-1.5, 0.75]],
+          "label": "probe"}
 
 
 def _commands() -> list[list[str]]:
@@ -42,6 +48,15 @@ def _commands() -> list[list[str]]:
                      ["eval", *common, "--n", "3", "--s", "1", "--z", "0.3",
                       "--method", "both"],
                      ["det", *common, "--n", "3", "--z", "0.3"]]
+        # Every weight but alpha = 1 on branch 0 re-verifies through coeff_close.
+        cmds += [["decompose", "--builtin", builtin, "--n", "3", "--trunc", "12", *weight]
+                 for weight in (["--alpha=-1"], ["--alpha=2+1i"], ["--branch", "1"])]
+    for fmt in FORMATS:
+        cmds += [["decompose", "--input", SERIES_FILE, "--n", "2", "--format", fmt],
+                 ["decompose", "--input", SERIES_FILE, "--n", "3", "--alpha=2+1i",
+                  "--format", fmt],
+                 ["eval", "--input", SERIES_FILE, "--n", "2", "--s", "1", "--z", "0.3+0.2i",
+                  "--method", "series", "--format", fmt]]
     cmds += [["--help"]] + [[cmd, "--help"] for cmd in ("decompose", "eval", "verify", "det")]
     # The exit-2 and exit-4 commands of tests/test_cli.py that need no input file.
     cmds += [
@@ -102,6 +117,7 @@ def main(argv: list[str]) -> int:
         return 2
     parent, change = (Path(p).resolve() for p in argv)
     with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(2) as pool:
+        (Path(cwd) / SERIES_FILE).write_text(json.dumps(SERIES))
         pairs = pool.map(lambda cmd: (cmd, run(parent, cmd, cwd), run(change, cmd, cwd)),
                          COMMANDS)
         differ = 0

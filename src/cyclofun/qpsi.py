@@ -308,6 +308,8 @@ def laguerre_family(nmax: int, q) -> list[TruncatedSeries]:
 
 def lowering_operator_apply(p: TruncatedSeries, q) -> TruncatedSeries:
     """Apply -(D_q + D_q**2 + ...) to a polynomial, where the series is finite."""
+    if p.min_deg < 0:
+        raise ValueError("the lowering operator is a finite sum on polynomials only")
     total = Polynomial([0])
     cur = jackson_derivative(p, q)
     while any(cur.coeffs):
@@ -343,11 +345,9 @@ def verify_psi_binomial(family: Sequence[TruncatedSeries], ps: PsiSequence,
                         x: complex, y: complex,
                         operator: Callable[[TruncatedSeries], TruncatedSeries]
                         | None = None,
-                        tolerance: float = 1e-11,
-                        name: str = "binomial_convolution",
-                        rhs_basis: str = "family",
-                        expect: str = "le") -> IdentityReport:
-    """Check the binomial expansion of E(y Q) p_n(x) against a direct sum.
+                        rhs_basis: str = "family") -> float:
+    """The worst gap |lhs - rhs| / max(1, |lhs|, |rhs|) between the binomial
+    expansion of E(y Q) p_n(x) and a direct sum, over the family.
 
     The left side goes through the translation operator, the right side
     through the evaluated convolution, so the two routes share no code.
@@ -368,34 +368,24 @@ def verify_psi_binomial(family: Sequence[TruncatedSeries], ps: PsiSequence,
         for k in range(n + 1):
             rhs += ps.binomial(n, k) * px[k] * py[n - k]
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    params = {"kind": ps.kind, "x": x, "y": y,
-              "degree_max": len(family) - 1, "rhs_basis": rhs_basis}
-    if ps.kind == "q":
-        params["q"] = complex(ps.q)
-    return IdentityReport(name, params, worst, tolerance, expect)
+    return worst
 
 
-def verify_generating_function(ps: PsiSequence, ctx: CyclicContext, a: AlphaRoot,
-                               s: int, x: complex, z: complex,
-                               trunc: int = DEFAULT_TRUNCATION) -> IdentityReport:
-    """Check sum_m alpha**m psi_{nm+s} (x z)**(nm+s) against the sieved
-    exponential component evaluated at x z.
+def verify_generating_function(ps: PsiSequence, a: AlphaRoot, s: int,
+                               component: TruncatedSeries, x: complex, z: complex) -> float:
+    """The relative residual of sum_m alpha**m psi_{nm+s} (x z)**(nm+s)
+    against the sieved exponential component s evaluated at x z.
 
-    The left side sums explicit powers, the right side evaluates the
-    projected series, truncated at the same degree so the tails cancel.
+    The left side sums explicit powers up to the component's top degree, so
+    the tails cancel; a point outside the component's disk raises DomainError.
     """
-    s = int(s) % ctx.n
+    s = int(s) % a.n
     x, z = complex(x), complex(z)
-    rhs = laurent_component(series_exp_psi(ps, trunc), ctx, a, s).evaluate(x * z)
+    rhs = component.evaluate(x * z)
     lhs = 0j
-    for m, d in enumerate(range(s, trunc + 1, ctx.n)):  # d = n m + s
+    for m, d in enumerate(range(s, component.max_deg + 1, a.n)):  # d = n m + s
         lhs += _ipow(a.alpha, m) * ps.psi_weight(d) * _ipow(x, d) * _ipow(z, d)
-    residual = relative_residual(lhs, rhs)
-    params = {"kind": ps.kind, "n": ctx.n, "alpha": a.alpha, "branch": a.branch,
-              "s": s, "x": x, "z": z, "trunc": trunc}
-    if ps.kind == "q":
-        params["q"] = complex(ps.q)
-    return IdentityReport("generating_function", params, residual, 1e-9)
+    return relative_residual(lhs, rhs)
 
 
 # -- check battery -----------------------------------------------------------------
@@ -453,6 +443,8 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
         for alpha in (1, -1, 2):
             a = alpha_root(alpha, n)
             comps = [laurent_component(eq, ctx, a, l) for l in range(n)]
+            if (n, alpha) == (3, 1):
+                a3, comps3 = a, comps  # the generating function reads component 1
             for l in range(n):
                 cur = comps[l]
                 factor = 1 + 0j
@@ -488,23 +480,25 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
     powers = [Polynomial([0j] * n + [1]) for n in range(13)]
     x0 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.5, 0.5))
     y0 = complex(rng.uniform(-1.5, 1.5), rng.uniform(-0.5, 0.5))
-    reports.append(verify_psi_binomial(powers, ps, x0, y0, tolerance=1e-11,
-                                       name="binomial_convolution_powers"))
-
     lag_op = lambda g: lowering_operator_apply(g, qv)
-    reports.append(verify_psi_binomial(fam_l[:5], ps, x0, y0, operator=lag_op,
-                                       tolerance=1e-9, rhs_basis="powers",
-                                       name="binomial_convolution_laguerre"))
     # The symmetric convolution (p_{n-k}(y) in place of y**(n-k)) is specific
     # to the power sequence; on the Laguerre family it must visibly miss.
-    reports.append(verify_psi_binomial(
-        fam_l[:5], ps, 0.9, 0.7, operator=lag_op, tolerance=1e-3,
-        rhs_basis="family", expect="gt",
-        name="binomial_symmetric_laguerre_breaks"))
+    for name, fam, x, y, op, basis, tol, expect in (
+            ("binomial_convolution_powers", powers, x0, y0, None, "family", 1e-11, "le"),
+            ("binomial_convolution_laguerre", fam_l[:5], x0, y0, lag_op, "powers", 1e-9, "le"),
+            ("binomial_symmetric_laguerre_breaks", fam_l[:5], 0.9 + 0j, 0.7 + 0j, lag_op,
+             "family", 1e-3, "gt")):
+        params = {"kind": ps.kind, "x": x, "y": y, "degree_max": len(fam) - 1,
+                  "rhs_basis": basis, "q": complex(qv)}
+        reports.append(IdentityReport(name, params, verify_psi_binomial(fam, ps, x, y, op, basis),
+                                      tol, expect))
 
-    ctx3 = make_context(3)
-    reports.append(verify_generating_function(
-        ps, ctx3, alpha_root(1, 3), 1, 0.8, 0.9, trunc))
+    x, z = 0.8 + 0j, 0.9 + 0j
+    reports.append(IdentityReport(
+        "generating_function",
+        {"kind": ps.kind, "n": 3, "alpha": a3.alpha, "branch": a3.branch, "s": 1,
+         "x": x, "z": z, "trunc": trunc, "q": complex(qv)},
+        verify_generating_function(ps, a3, 1, comps3[1], x, z), 1e-9))
 
     mono = Polynomial([0j] * 5 + [1])
     shifted = generalized_translation(mono, 0.7, classical)

@@ -229,7 +229,8 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return other
         if isinstance(other, (int, float, complex)):
-            return TruncatedSeries(0, (_checked(other, "constant"),))
+            # A constant is entire.
+            return TruncatedSeries(0, (_checked(other, "constant"),), radius=math.inf)
         return None
 
     def __add__(self, other) -> "TruncatedSeries":

@@ -30,6 +30,7 @@ from cyclofun.qpsi import (
     laguerre_family,
     lowering_operator_apply,
     q_number,
+    series_exp_psi,
     verify_generating_function,
 )
 from cyclofun.series import (
@@ -241,21 +242,21 @@ def test_criterion_7_generating_function_routes():
     with criterion(7, "deformed generating function agrees on both routes", 2.0):
         for q, bound in ((0.5, 1.8), (2.0, 4.0)):
             ps = PsiSequence.q_deformation(q)
+            base = series_exp_psi(ps, 48)
             for n in (2, 3, 4):
                 ctx = make_context(n)
                 for alpha in (1, -1, 2):
                     a = alpha_root(alpha, n)
                     for s in range(n):
+                        comp = laurent_component(base, ctx, a, s)
                         for x, z in ((1.1, 1.1), (1.2, 1.2), (0.9, -1.1), (-0.8, 0.5)):
                             if abs(a.root * x * z) > bound:
                                 refused.add((q, n, alpha, x, z))
                                 with pytest.raises(DomainError):
-                                    verify_generating_function(ps, ctx, a, s, x, z, trunc=48)
+                                    verify_generating_function(ps, a, s, comp, x, z)
                                 continue
-                            rep = verify_generating_function(
-                                ps, ctx, a, s, x, z, trunc=48)
-                            assert rep.passed, (q, n, alpha, s, x, z,
-                                                rep.residual)
+                            residual = verify_generating_function(ps, a, s, comp, x, z)
+                            assert residual <= 1e-9, (q, n, alpha, s, x, z, residual)
     assert refused == {(0.5, 2, 2, 1.2, 1.2), (0.5, 3, 2, 1.2, 1.2)}
 
 

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import cyclofun.qpsi as qpsi_module
 from cyclofun.cyclic import alpha_root, make_context, project_series
+from cyclofun.hyperbolic import laurent_component
 from cyclofun.qpsi import (
     PSI_CAP,
     Polynomial,
@@ -416,6 +418,14 @@ def test_lowering_property():
             assert coeff_residual(got, want) <= 1e-10
 
 
+def test_lowering_operator_refuses_a_laurent_window():
+    # The sum -(D_q + D_q**2 + ...) ends only on a polynomial: on a Laurent
+    # window the Jackson steps never reach zero.
+    for q in (0.5, 2.0):
+        with pytest.raises(ValueError, match="polynomials only"):
+            lowering_operator_apply(make_series([(-1, 1), (2, 1)]), q)
+
+
 def test_laguerre_continuous_at_unit_deformation():
     for n in range(1, 5):
         a = q_laguerre(n, 1 + 1e-8)
@@ -442,8 +452,7 @@ def test_binomial_convolution_for_powers():
     powers = [Polynomial([0j] * n + [1]) for n in range(10)]
     for q in (0.5, 2.0):
         ps = PsiSequence.q_deformation(q)
-        rep = verify_psi_binomial(powers, ps, 1.1, -0.8, tolerance=1e-11)
-        assert rep.passed
+        assert verify_psi_binomial(powers, ps, 1.1, -0.8) <= 1e-11
 
 
 def test_binomial_convolution_evaluates_each_member_once_per_point(monkeypatch):
@@ -463,8 +472,7 @@ def test_binomial_convolution_evaluates_each_member_once_per_point(monkeypatch):
     calls = []
     real = TruncatedSeries.evaluate
     monkeypatch.setattr(TruncatedSeries, "evaluate", lambda s, z: calls.append(z) or real(s, z))
-    rep = verify_psi_binomial(fam, ps, x, y, tolerance=1e-3, expect="gt")
-    assert rep.residual == worst
+    assert verify_psi_binomial(fam, ps, x, y) == worst
     # One translated lhs per degree, and each member once at x and once at y.
     assert len(calls) == 3 * len(fam)
 
@@ -472,8 +480,7 @@ def test_binomial_convolution_evaluates_each_member_once_per_point(monkeypatch):
 def test_binomial_convolution_at_origin_is_exact():
     powers = [Polynomial([0j] * n + [1]) for n in range(9)]
     ps = PsiSequence.q_deformation(2.0)
-    rep = verify_psi_binomial(powers, ps, 1.3, 0.0, tolerance=0.0)
-    assert rep.residual == 0.0
+    assert verify_psi_binomial(powers, ps, 1.3, 0.0) == 0.0
 
 
 def test_binomial_convolution_for_laguerre_uses_plain_powers():
@@ -484,13 +491,10 @@ def test_binomial_convolution_for_laguerre_uses_plain_powers():
         def op(g, q=q):
             return lowering_operator_apply(g, q)
 
-        rep = verify_psi_binomial(fam, ps, 0.9, 0.7, operator=op,
-                                  rhs_basis="powers", tolerance=1e-9)
-        assert rep.passed, (q, rep.residual)
-        broken = verify_psi_binomial(fam, ps, 0.9, 0.7, operator=op,
-                                     rhs_basis="family", tolerance=1e-3,
-                                     expect="gt")
-        assert broken.passed and broken.residual > 1e-3
+        residual = verify_psi_binomial(fam, ps, 0.9, 0.7, operator=op, rhs_basis="powers")
+        assert residual <= 1e-9, (q, residual)
+        broken = verify_psi_binomial(fam, ps, 0.9, 0.7, operator=op, rhs_basis="family")
+        assert broken > 1e-3
 
 
 def test_rhs_basis_validated():
@@ -515,30 +519,30 @@ def test_deformed_leibniz_rule():
 def test_generating_function_dual_route():
     for q in (0.5, 2.0):
         ps = PsiSequence.q_deformation(q)
+        base = series_exp_psi(ps, 48)
         for n in (2, 3):
             ctx = make_context(n)
             for alpha in (1, -1, 2):
                 a = alpha_root(alpha, n)
                 for s in range(n):
-                    rep = verify_generating_function(ps, ctx, a, s, 1.1, 1.1,
-                                                     trunc=48)
-                    assert rep.passed, (q, n, alpha, s, rep.residual)
+                    comp = laurent_component(base, ctx, a, s)
+                    residual = verify_generating_function(ps, a, s, comp, 1.1, 1.1)
+                    assert residual <= 1e-9, (q, n, alpha, s, residual)
                     # |r x z| = 2.04 (n = 2) and 1.81 (n = 3) pass the q = 0.5
                     # bound 1.8, so that point is refused; elsewhere it passes.
                     if q == 0.5 and alpha == 2:
                         with pytest.raises(DomainError):
-                            verify_generating_function(ps, ctx, a, s, 1.2, 1.2, trunc=48)
+                            verify_generating_function(ps, a, s, comp, 1.2, 1.2)
                     else:
-                        rep = verify_generating_function(ps, ctx, a, s, 1.2, 1.2,
-                                                         trunc=48)
-                        assert rep.passed, (q, n, alpha, s, rep.residual)
+                        residual = verify_generating_function(ps, a, s, comp, 1.2, 1.2)
+                        assert residual <= 1e-9, (q, n, alpha, s, residual)
 
 
 def test_generating_function_at_origin_is_exact():
     ps = PsiSequence.q_deformation(0.5)
-    ctx = make_context(3)
-    rep = verify_generating_function(ps, ctx, alpha_root(1, 3), 0, 0.0, 0.0)
-    assert rep.residual == 0.0
+    a = alpha_root(1, 3)
+    comp = laurent_component(series_exp_psi(ps), make_context(3), a, 0)
+    assert verify_generating_function(ps, a, 0, comp, 0.0, 0.0) == 0.0
 
 
 def test_deformed_component_ladder():
@@ -597,3 +601,17 @@ def test_qpsi_battery_passes():
         assert "derivative_ladder_n3" in names
         assert "binomial_symmetric_laguerre_breaks" in names
         assert "generating_function" in names
+
+
+def test_qpsi_battery_sieves_its_exponential_once(monkeypatch):
+    # One exp_psi is sieved at n = 2, 3, 4 and alpha = 1, -1, 2 for the
+    # ladder; the generating function reads the n = 3, alpha = 1 component 1.
+    calls = Counter()
+    for name in ("series_exp_psi", "laurent_component", "make_context", "alpha_root"):
+        def counted(*args, _real=getattr(qpsi_module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(qpsi_module, name, counted)
+    qpsi_checks(0.5, 0)
+    assert calls == {"series_exp_psi": 1, "laurent_component": 27,
+                     "make_context": 3, "alpha_root": 9}

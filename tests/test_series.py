@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.hyperbolic import laurent_component
-from cyclofun.qpsi import PsiSequence, jackson_derivative, psi_derivative
+from cyclofun.qpsi import Polynomial, PsiSequence, jackson_derivative, psi_derivative
 from cyclofun.series import (
     PRODUCT_DEGREE_CAP,
     DomainError,
@@ -628,6 +628,12 @@ def test_domain_narrows_under_combination():
     assert mixed.radius == pytest.approx(0.9)
     prod = series_exp(4) * series_geometric(4)
     assert prod.radius == pytest.approx(0.9)
+    # A number is an entire constant, so it never narrows the disk.
+    p = Polynomial([1, 2])
+    for combined in (p + 1, 1 + p, p - 1, 1 - p, sum([p, p])):
+        assert combined.radius == math.inf
+    assert (p + 1).evaluate(5) == p.evaluate(5) + 1 == 12
+    assert (series_exp(4) + 1).radius == series_exp(4).radius
 
 
 def test_series_json_round_trip():
