@@ -34,11 +34,15 @@ SWEEP_DRAWS = 5
 TOL_ENV_VAR = "CYCLOFUN_TOL"
 
 
+class _ComplexLiteralError(argparse.ArgumentTypeError, ValueError):
+    """A ValueError whose reason argparse prints verbatim."""
+
+
 def parse_complex(text: str) -> complex:
     """Accept '1.5', '1+2i', '1+2j', or 're,im'."""
     raw = text.strip().replace(" ", "")
     if not raw:
-        raise ValueError("empty complex literal")
+        raise _ComplexLiteralError("empty complex literal")
     try:
         if "," in raw:
             re_s, im_s = raw.split(",")
@@ -46,9 +50,9 @@ def parse_complex(text: str) -> complex:
         else:
             value = complex(raw.replace("i", "j").replace("I", "j"))
     except ValueError:
-        raise ValueError(f"cannot parse complex number from {text!r}") from None
+        raise _ComplexLiteralError(f"cannot parse complex number from {text!r}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"complex literal {text!r} is not finite")
+        raise _ComplexLiteralError(f"complex literal {text!r} is not finite")
     return value
 
 
@@ -278,6 +282,8 @@ def _cmd_verify(args) -> int:
 
 def _det_components(args, ctx, a) -> list[complex]:
     if args.components:
+        if args.z is not None:
+            raise ValueError("--z evaluates builtin components; drop it or --components")
         parts = [p for p in args.components.split(",") if p != ""]
         vals = [parse_complex(p) for p in parts]
         if len(vals) != ctx.n:
@@ -364,32 +370,16 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
                    help="write output to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cyclofun",
-        description="Cyclic decompositions of series, generalized hyperbolic "
-                    "components, and twisted circulant identities.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose",
-                       help="sieve a series into weighted cyclic components")
-    _add_source_options(p)
-    _add_family_options(p)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("eval", help="evaluate one component at a point")
+def _eval_options(p: argparse.ArgumentParser) -> None:
     _add_source_options(p)
     p.add_argument("--s", type=int, default=0, help="component index (default 0)")
     p.add_argument("--z", type=parse_complex, required=True,
                    help="evaluation point")
     p.add_argument("--method", choices=("series", "closed", "both"),
                    default="series", help="evaluation route (default series)")
-    _add_family_options(p)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("verify", help="run an identity suite and report residuals")
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=("demoivre", "circulant", "qpsi", "all"),
                    default="all", help="which battery to run (default all)")
     p.add_argument("--seed", type=int, default=0,
@@ -397,11 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="override the pass tolerance for ordinary checks; "
                         f"falls back to the {TOL_ENV_VAR} environment variable")
-    _add_family_options(p)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("det", help="spectral vs LU circulant determinant")
+
+def _det_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--components", default=None,
                    help="comma-separated component values, each like 1.5 or 2+1i")
     p.add_argument("--builtin", choices=("exp", "geometric", "expq"),
@@ -411,15 +399,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="mismatch tolerance (default 1e-9; "
                         f"or the {TOL_ENV_VAR} environment variable)")
-    _add_family_options(p)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_det)
 
+
+_SUBCOMMANDS = (
+    ("decompose", "sieve a series into weighted cyclic components",
+     _add_source_options, _cmd_decompose),
+    ("eval", "evaluate one component at a point", _eval_options, _cmd_eval),
+    ("verify", "run an identity suite and report residuals", _verify_options, _cmd_verify),
+    ("det", "spectral vs LU circulant determinant", _det_options, _cmd_det),
+)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """All subcommands, with options only for those argv names: argparse runs no other."""
+    parser = argparse.ArgumentParser(
+        prog="cyclofun",
+        description="Cyclic decompositions of series, generalized hyperbolic "
+                    "components, and twisted circulant identities.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_own_options, handler in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name in argv:
+            add_own_options(p)
+            _add_family_options(p)
+            _add_output_options(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -439,4 +450,4 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

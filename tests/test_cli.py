@@ -1,12 +1,20 @@
-"""Command-line behavior: formats, tolerances, exit codes."""
+"""Command-line behavior: formats, tolerances, exit codes, the parser."""
 
+import argparse
+import contextlib
+import io
 import json
+import shlex
 import subprocess
 import sys
 
 import pytest
+from test_readme import EXAMPLE, README
+from test_startup import _numpy_free_commands
 
-from cyclofun.cli import main, parse_complex
+from cyclofun.cli import build_parser, main, parse_complex
+
+COMMAND_NAMES = ("decompose", "eval", "verify", "det")
 
 
 def run_cli(capsys, *argv):
@@ -496,6 +504,14 @@ def test_det_component_count_must_match(capsys):
     assert code == 2
 
 
+def test_det_refuses_components_with_a_point(capsys):
+    # --z picks the point for builtin components; given components, it would be ignored.
+    code, out, err = run_cli(capsys, "det", "--components", "1,2", "--n", "2", "--z", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--components" in err and "--z" in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "circulant",
@@ -513,13 +529,18 @@ def test_bad_usage_exits_2(capsys):
                  "--builtin", "geometric", "--n", "0"]) == 2
 
 
-@pytest.mark.parametrize("z", ["", "inf"])
+@pytest.mark.parametrize("z", ["", "inf", "1e999"])
 def test_unparsable_point_exits_2_with_one_error_line(capsys, z):
-    code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", "3", "--z", z)
-    assert code == 2 and out == ""
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--z" in errors[0]
-    assert "Traceback" not in err
+    reason = {"": "empty complex literal", "inf": "cannot parse complex number from 'inf'",
+              "1e999": "complex literal '1e999' is not finite"}[z]
+    # argparse prints parse_complex's own reason for each complex option.
+    for option in ("--z", "--alpha", "--q"):
+        point = ["--z", z] if option == "--z" else ["--z", "0.5", option, z]
+        code, out, err = run_cli(capsys, "eval", "--builtin", "exp", "--n", "3", *point)
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"argument {option}: {reason}"), option
+        assert "Traceback" not in err
 
 
 def test_coefficient_pairs_that_are_not_numbers_exit_2(tmp_path, capsys):
@@ -595,3 +616,59 @@ def test_module_entry_point_smoke():
     assert proc.returncode == 0
     header = proc.stdout.splitlines()[0]
     assert header == "identity,n,alpha_re,alpha_im,residual,pass"
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _parse(parser, argv):
+    """The namespace without func, or the exit code, and what parsing printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parser.parse_args(argv))
+            del parsed["func"]
+        except SystemExit as exc:
+            parsed = exc.code
+    return parsed, out.getvalue(), err.getvalue()
+
+
+def test_parser_builds_options_only_for_the_named_subcommand():
+    for name in COMMAND_NAMES:
+        for other, sub in _subparsers(build_parser([name])).items():
+            dests = [action.dest for action in sub._actions]
+            if other == name:
+                assert {"n", "alpha", "format", "out"} <= set(dests), name
+            else:
+                assert dests == ["help"], (name, other)
+
+
+def test_parser_for_argv_parses_and_helps_as_the_full_parser(tmp_path):
+    argvs = _numpy_free_commands(str(tmp_path / "series.json"))
+    argvs += [shlex.split(cmd) for cmd, _ in EXAMPLE.findall(README.read_text())]
+    argvs += [[name, "--help"] for name in COMMAND_NAMES]
+    for argv in argvs:
+        lazy, full = build_parser(argv), build_parser(COMMAND_NAMES)
+        assert _parse(lazy, argv) == _parse(full, argv), argv
+        assert lazy.format_help() == full.format_help(), argv
+        lazy_subs, full_subs = _subparsers(lazy), _subparsers(full)
+        for name in set(argv) & set(COMMAND_NAMES):
+            assert lazy_subs[name].format_help() == full_subs[name].format_help(), argv
+
+
+def test_a_command_name_as_an_option_value_parses(tmp_path, capsys, monkeypatch):
+    (tmp_path / "eval").write_text(json.dumps({"min_deg": 0, "coeffs": [[1, 0], [2, 0]]}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "decompose", "--input", "eval", "--n", "2")
+    assert code == 0 and err == ""
+    assert out.startswith("decomposition of eval: n=2 ")
+    assert out.endswith("re-verification: ok\n")
+
+
+def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["cyclofun", "det", "--components", "2,1", "--n", "2"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert out.startswith("twisted circulant determinant: n=2 alpha=1 branch=0\nspectral: 3\n")
