@@ -68,7 +68,7 @@ def _fmt_complex(c: complex) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
@@ -81,7 +81,7 @@ def _effective_tolerance(args, fallback: float | None = None) -> float | None:
     A tolerance must be finite and nonnegative: inf passes every check, and
     nan or a negative value fails every one.
     """
-    tol, source = getattr(args, "tol", None), "--tol"
+    tol, source = args.tol, "--tol"
     if tol is None:
         raw, source = os.environ.get(TOL_ENV_VAR), TOL_ENV_VAR
         if not raw:
@@ -98,20 +98,20 @@ def _effective_tolerance(args, fallback: float | None = None) -> float | None:
 # -- series sources -----------------------------------------------------------
 
 def _load_series(args) -> tuple[TruncatedSeries, dict]:
-    """The series named by --input or --builtin, with its provenance."""
-    if getattr(args, "input", None):
+    """The series named by --input or --builtin (exp if neither), with its provenance."""
+    if args.input:
         with open(args.input) as fh:
             try:
                 obj = json.load(fh)
             except RecursionError:
                 raise ValueError(f"{args.input}: JSON nested too deeply") from None
         return series_from_json(obj), {"input": args.input}
-    if args.builtin == "exp":
-        return series_exp(args.trunc), {"builtin": "exp"}
     if args.builtin == "geometric":
         return series_geometric(args.trunc), {"builtin": "geometric"}
-    ps = PsiSequence.q_deformation(args.q)
-    return series_exp_psi(ps, args.trunc), {"builtin": "expq", "q": _pair(args.q)}
+    if args.builtin == "expq":
+        ps = PsiSequence.q_deformation(args.q)
+        return series_exp_psi(ps, args.trunc), {"builtin": "expq", "q": _pair(args.q)}
+    return series_exp(args.trunc), {"builtin": "exp"}
 
 
 def _family_text(args, a: AlphaRoot) -> str:
@@ -281,9 +281,9 @@ def _cmd_verify(args) -> int:
 # -- det -------------------------------------------------------------------------
 
 def _det_components(args, ctx, a) -> list[complex]:
-    if args.components:
+    if args.components is not None:
         if args.z is not None:
-            raise ValueError("--z evaluates builtin components; drop it or --components")
+            raise ValueError("--z evaluates a series' components; drop it or --components")
         parts = [p for p in args.components.split(",") if p != ""]
         vals = [parse_complex(p) for p in parts]
         if len(vals) != ctx.n:
@@ -291,7 +291,7 @@ def _det_components(args, ctx, a) -> list[complex]:
                              f"got {len(vals)}")
         return vals
     if args.z is None:
-        raise ValueError("det needs --components or --builtin with --z")
+        raise ValueError("det needs --components, or --builtin or --input with --z")
     base, _ = _load_series(args)
     return [laurent_component(base, ctx, a, k).evaluate(args.z)
             for k in range(ctx.n)]
@@ -355,12 +355,13 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
                    help=f"series truncation degree (default {DEFAULT_TRUNCATION})")
 
 
-def _add_source_options(p: argparse.ArgumentParser) -> None:
+def _add_source_options(p: argparse.ArgumentParser) -> argparse._MutuallyExclusiveGroup:
+    """--builtin | --input, no defaults: argparse deems an option at its default absent."""
     src = p.add_mutually_exclusive_group()
     src.add_argument("--builtin", choices=("exp", "geometric", "expq"),
-                     default="exp", help="builtin base series (default exp)")
-    src.add_argument("--input", default=None,
-                     help="path to a series JSON file")
+                     help="builtin base series (default exp)")
+    src.add_argument("--input", help="path to a series JSON file")
+    return src
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:
@@ -390,12 +391,10 @@ def _verify_options(p: argparse.ArgumentParser) -> None:
 
 
 def _det_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--components", default=None,
-                   help="comma-separated component values, each like 1.5 or 2+1i")
-    p.add_argument("--builtin", choices=("exp", "geometric", "expq"),
-                   default="exp", help="take components from this series at --z")
+    _add_source_options(p).add_argument(
+        "--components", help="comma-separated component values, each like 1.5 or 2+1i")
     p.add_argument("--z", type=parse_complex, default=None,
-                   help="evaluation point for builtin components")
+                   help="take the --builtin or --input series' components at this point")
     p.add_argument("--tol", type=float, default=None,
                    help="mismatch tolerance (default 1e-9; "
                         f"or the {TOL_ENV_VAR} environment variable)")

@@ -12,6 +12,7 @@ import pytest
 from test_readme import EXAMPLE, README
 from test_startup import _numpy_free_commands
 
+from cyclofun import TruncatedSeries, cli, laurent_component
 from cyclofun.cli import build_parser, main, parse_complex
 
 COMMAND_NAMES = ("decompose", "eval", "verify", "det")
@@ -92,6 +93,22 @@ def test_decompose_text_mentions_reverification(capsys):
     assert "re-verification: ok" in out
 
 
+@pytest.mark.parametrize("alpha", ["1", "0", "2+1i"])
+def test_decompose_that_fails_its_reverification_exits_3(capsys, monkeypatch, alpha):
+    # alpha = 1 (branch 0) re-adds the components exactly, alpha = 0 checks each
+    # monomial, any other weight compares the twisted sum with coeff_close.
+    def altered(s, ctx, a, k):
+        c = laurent_component(s, ctx, a, k)
+        if k:
+            return c
+        return TruncatedSeries(c.min_deg, [c.coeffs[0] + 1, *c.coeffs[1:]], radius=c.radius)
+
+    monkeypatch.setattr(cli, "laurent_component", altered)
+    code, out, err = run_cli(capsys, "decompose", "--builtin", "exp", "--n", "3",
+                             "--alpha", alpha, "--trunc", "9")
+    assert (code, out, err) == (3, "", "decomposition failed re-verification\n")
+
+
 def test_eval_prints_library_value(capsys):
     code, out, _ = run_cli(capsys, "eval", "--builtin", "exp", "--n", "2",
                            "--s", "0", "--z", "1", "--method", "both")
@@ -106,6 +123,22 @@ def test_eval_both_methods_agree(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["difference"] <= 1e-12
+
+
+def test_eval_csv_rows_match_the_json_values(capsys):
+    argv = ["eval", "--builtin", "exp", "--n", "3", "--s", "1", "--z", "0.8+0.1i",
+            "--method", "both"]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()
+    assert header == "method,s,n,z_re,z_im,value_re,value_im"
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    values = json.loads(json_out)["values"]
+    assert [row.split(",")[0] for row in rows] == ["series", "closed"]
+    for row in rows:
+        method, s, n, *nums = row.split(",")
+        assert (s, n) == ("1", "3")
+        assert [float(x) for x in nums] == [0.8, 0.1, *values[method]], row
 
 
 def test_eval_domain_violation_exits_4(capsys):
@@ -510,6 +543,41 @@ def test_det_refuses_components_with_a_point(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--components" in err and "--z" in err
+
+
+def test_det_takes_one_source_of_components(tmp_path, capsys):
+    series = tmp_path / "geometric.json"
+    series.write_text(json.dumps({"min_deg": 0, "coeffs": [[1, 0]] * 65}))
+    for source in (["--builtin", "geometric"], ["--input", str(series)]):
+        code, out, err = run_cli(capsys, "det", "--components", "1,2", "--n", "2", *source)
+        assert code == 2 and out == "", source
+        assert f"error: argument {source[0]}: not allowed with argument --components" in err
+    # An empty list is given, not absent: it holds no component for n = 2.
+    for point in ([], ["--z", "0.5"]):
+        code, out, err = run_cli(capsys, "det", "--components", "", "--n", "2", *point)
+        assert code == 2 and out == "" and err.startswith("error: "), point
+    # A JSON series reads like the builtin with the same coefficients.
+    geometric = run_cli(capsys, "det", "--builtin", "geometric", "--n", "3", "--z", "0.3")
+    assert geometric[0] == 0
+    assert run_cli(capsys, "det", "--input", str(series), "--n", "3", "--z", "0.3") == geometric
+
+
+@pytest.mark.parametrize("command", [["eval", "--z", "0.1"], ["decompose"],
+                                     ["det", "--z", "0.1"]])
+def test_builtin_with_input_exits_2_in_process_as_in_a_subprocess(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    # "exp" is an interned literal: were it --builtin's default object, argparse
+    # would take the in-process --builtin exp as absent and read the file.
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"min_deg": 0, "coeffs": [[1, 0], [2, 0]]}))
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command[0], "--builtin", "exp", "--input", str(series), *command[1:]]
+    proc = subprocess.run([sys.executable, "-m", "cyclofun", *argv],
+                          capture_output=True, text=True, timeout=120)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --input: not allowed with argument --builtin\n")
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -67,9 +67,8 @@ COMMANDS = {
     "verify": {"--suite": st.sampled_from(["demoivre", "circulant", "qpsi", "all", "none"]),
                "--seed": BIG_INT, "--tol": st.one_of(edge_text, float_text),
                **FAMILY, **OUTPUT},
-    "det": {"--components": st.lists(complex_text, max_size=5).map(",".join),
-            "--builtin": SOURCE["--builtin"], "--z": complex_text,
-            "--tol": st.one_of(edge_text, float_text), **FAMILY, **OUTPUT},
+    "det": {**SOURCE, "--components": st.lists(complex_text, max_size=5).map(",".join),
+            "--z": complex_text, "--tol": st.one_of(edge_text, float_text), **FAMILY, **OUTPUT},
 }
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20),
