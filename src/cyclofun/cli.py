@@ -284,8 +284,7 @@ def _det_components(args, ctx, a) -> list[complex]:
     if args.components is not None:
         if args.z is not None:
             raise ValueError("--z evaluates a series' components; drop it or --components")
-        parts = [p for p in args.components.split(",") if p != ""]
-        vals = [parse_complex(p) for p in parts]
+        vals = [parse_complex(p) for p in args.components.split(",")]
         if len(vals) != ctx.n:
             raise ValueError(f"expected {ctx.n} components for n={ctx.n}, "
                              f"got {len(vals)}")

@@ -72,48 +72,28 @@ def q_number(q, k: int):
         except OverflowError:  # an int q's exact [m]_q past double range, or q**k
             value = math.nan
         return value if value == value else -q_number(1 / q, -k) / q
-    return _q_numbers(type(q), q).upto(k)[k]
-
-
-class _QNumbers:
-    """[0]_q, [1]_q, ... for one q, grown on demand by the running sum.
-
-    The table and the next power are replaced together as one tuple, so a
-    reader never sees a table that is still being extended, and a returned
-    table is never changed.
-    """
-
-    __slots__ = ("q", "_state")
-
-    def __init__(self, q):
-        self.q = q
-        self._state = ([0], 1)
-
-    def upto(self, k: int) -> list:
-        """The table, grown to at least k + 1 entries."""
-        totals, power = self._state
-        if k < len(totals):
-            return totals
-        totals = list(totals)
-        total, q = totals[-1], self.q
-        for _ in range(len(totals), max(k + 1, 2 * len(totals))):
-            total += power
-            if total != total:
-                # inf - inf past overflow: the newest power dominates, so the
-                # q-number saturates at its infinity, or at inf once complex
-                # arithmetic has lost the power to nan.
-                total = power if power == power else math.inf
-            power *= q
-            totals.append(total)
-        self._state = (totals, power)
-        return totals
+    top = PSI_CAP if k <= PSI_CAP else 2 ** k.bit_length() - 1
+    return _q_numbers(type(q), q, top)[k]
 
 
 @lru_cache(maxsize=64)
-def _q_numbers(kind: type, q) -> _QNumbers:
-    # Keyed on the type too: 0.5 and 0.5+0j are equal keys whose q-numbers
-    # differ in type.
-    return _QNumbers(q)
+def _q_numbers(kind: type, q, top: int) -> tuple:
+    """[0]_q, ..., [top]_q by the running sum, built once and never changed.
+
+    Keyed on the type too: 0.5 and 0.5+0j are equal keys whose q-numbers
+    differ in type.
+    """
+    totals, total, power = [0], 0, 1
+    for _ in range(top):
+        total += power
+        if total != total:
+            # inf - inf past overflow: the newest power dominates, so the
+            # q-number saturates at its infinity, or at inf once complex
+            # arithmetic has lost the power to nan.
+            total = power if power == power else math.inf
+        power *= q
+        totals.append(total)
+    return tuple(totals)
 
 
 class PsiSequence:
@@ -154,7 +134,7 @@ class PsiSequence:
                              "use PsiSequence.classical()")
         # Real q stays in float arithmetic so overflow is inf, not nan.
         q = qc.real if qc.imag == 0.0 else qc
-        numbers = tuple(_q_numbers(type(q), q).upto(PSI_CAP)[:PSI_CAP + 1])
+        numbers = _q_numbers(type(q), q, PSI_CAP)
         for n, v in enumerate(numbers[1:], 1):
             if abs(v) < NUMBER_FLOOR:
                 raise ValueError(f"[{n}]_q vanishes for q = {qc}; the deformation is "
@@ -297,7 +277,7 @@ def q_laguerre(n: int, q) -> TruncatedSeries:
         raise ValueError("the sequence index must be nonnegative")
     if n == 0:
         return Polynomial([1])
-    nums = _q_numbers(type(q), q).upto(n)
+    nums = _q_numbers(type(q), q, max(n, PSI_CAP))
     return Polynomial([0j] + [(-1) ** k * math.comb(n - 1, k - 1)
                               * math.prod(nums[k + 1:n + 1]) for k in range(1, n + 1)])
 

@@ -562,6 +562,14 @@ def test_det_takes_one_source_of_components(tmp_path, capsys):
     assert run_cli(capsys, "det", "--input", str(series), "--n", "3", "--z", "0.3") == geometric
 
 
+@pytest.mark.parametrize("components", ["1,,2", "1,2,", ",1,2"])
+def test_det_refuses_an_empty_component(capsys, components):
+    # An empty entry is a missing value, not a shorter list.
+    code, out, err = run_cli(capsys, "det", "--components", components, "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "error: empty complex literal\n"
+
+
 @pytest.mark.parametrize("command", [["eval", "--z", "0.1"], ["decompose"],
                                      ["det", "--z", "0.1"]])
 def test_builtin_with_input_exits_2_in_process_as_in_a_subprocess(tmp_path, capsys,

@@ -60,15 +60,22 @@ def _q_number_loop(q, k):
     total, power = 0, 1
     for _ in range(k):
         total += power
+        if total != total:  # saturate past overflow, as the table does
+            total = power if power == power else math.inf
         power *= q
     return total
+
+
+# Both sides of the ends of the PSI_CAP table and of the tables with tops 511
+# and 1023, and a degree in the table with top 4095.
+EDGE_DEGREES = (255, 256, 257, 511, 512, 1023, 1024, 2100)
 
 
 def test_deformed_integer_table_matches_the_running_sum():
     # Complex first: 0.5+0j and 0.5 are equal keys, but their q-numbers
     # differ in type and must come from separate tables.
     for q in (0.5 + 0j, 0.5, 2, 3 + 0j, 0.3 - 0.4j, -1.7, 1e10, 1 + 1e-8):
-        for k in [300, 7, 0, 1, *range(-4, 40), 129, 64]:
+        for k in [300, 7, 0, 1, *range(-4, 40), 129, 64, *EDGE_DEGREES]:
             got, want = q_number(q, k), _q_number_loop(q, k)
             assert type(got) is type(want), (q, k)
             assert got == want, (q, k)
@@ -169,6 +176,37 @@ def test_a_shared_sequence_reads_the_same_from_every_thread():
             for rows in seen:
                 assert all((f, w) == want[n] for n, f, w in rows)
             assert [(ps.factorial(n), ps.psi_weight(n)) for n in range(257)] == want
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_q_numbers_past_the_cap_read_the_same_from_every_thread():
+    # Interleaved degrees, each thread starting a quarter further along, so
+    # the threads ask at once for the tables of every top (256, 511, ...,
+    # 4095) of a q no table was built for yet.
+    degrees = [k for pair in zip(range(0, 2101, 3), range(2100, -1, -3)) for k in pair]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(8):
+            q = 0.75 + i * 1e-6
+            want = {k: _q_number_loop(q, k) for k in set(degrees)}
+            barrier = threading.Barrier(4)
+            seen = [None] * 4
+
+            def read(t):
+                shift = t * len(degrees) // 4
+                barrier.wait()
+                seen[t] = [(k, q_number(q, k)) for k in degrees[shift:] + degrees[:shift]]
+
+            threads = [threading.Thread(target=read, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+            for rows in seen:
+                assert len(rows) == len(degrees)
+                assert all(v == want[k] and type(v) is type(want[k]) for k, v in rows), q
     finally:
         sys.setswitchinterval(old_interval)
 

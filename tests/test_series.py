@@ -481,6 +481,14 @@ def test_addition_and_scalar_arithmetic():
     assert (-s).coeff(0) == -1
 
 
+@pytest.mark.parametrize("op", [lambda s: s + "x", lambda s: "x" - s, lambda s: s - [1],
+                                lambda s: s * None, lambda s: None * s],
+                         ids=["add-str", "str-sub", "sub-list", "mul-none", "none-mul"])
+def test_arithmetic_with_a_non_number_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(make_series([(0, 1), (1, 2)]))
+
+
 def _union(s, t, lo, hi):
     lo = min(s.min_deg, t.min_deg) if lo is None else lo
     hi = max(s.max_deg, t.max_deg) if hi is None else hi
