@@ -39,8 +39,11 @@ def _commands() -> list[list[str]]:
                  for fmt in FORMATS]
     cmds += [["verify", "--suite", "demoivre", "--n", str(n), f"--alpha={alpha}"]
              for n in (2, 3, 4, 8, 16, 64) for alpha in ("1", "-1", "2+1i", "1e-6", "0", "1e3")]
+    # q = 3: factorials that grow; q = 1e3: exit 4, a point past the exponential's bound.
     cmds += [["verify", "--suite", "qpsi", f"--q={q}"]
-             for q in ("0.5", "2", "0.3+0.4i", "-0.5", "-1e10")]
+             for q in ("0.5", "2", "3", "0.3+0.4i", "-0.5", "-1e10", "1e3")]
+    # The shortest ladder window (trunc 8) and the psi-sequence cap (trunc 256).
+    cmds += [["verify", "--suite", "qpsi", "--trunc", trunc] for trunc in ("8", "256")]
     for builtin in BUILTINS:
         for fmt in FORMATS:
             common = ["--builtin", builtin, "--format", fmt]

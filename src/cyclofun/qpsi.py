@@ -29,6 +29,7 @@ from .series import (
     _checked,
     _ipow,
     _termwise_lower,
+    _weighted_sum,
     coeff_residual,
     make_series,
     series_exp,
@@ -290,12 +291,10 @@ def lowering_operator_apply(p: TruncatedSeries, q) -> TruncatedSeries:
     """Apply -(D_q + D_q**2 + ...) to a polynomial, where the series is finite."""
     if p.min_deg < 0:
         raise ValueError("the lowering operator is a finite sum on polynomials only")
-    total = Polynomial([0])
-    cur = jackson_derivative(p, q)
-    while any(cur.coeffs):
-        total = total + cur
-        cur = jackson_derivative(cur, q)
-    return -total
+    def terms(cur=p):  # lazy: each step and check comes in the order of a running sum
+        while any((cur := jackson_derivative(cur, q)).coeffs):
+            yield cur, None
+    return -_weighted_sum(terms())
 
 
 # -- generalized translation -------------------------------------------------------
@@ -311,14 +310,12 @@ def generalized_translation(p: TruncatedSeries, y: complex, ps: PsiSequence,
     """
     op = operator if operator is not None else (lambda g: psi_derivative(g, ps))
     y = complex(y)
-    total = Polynomial([0])
-    cur = p
-    for m in range(p.max_deg + 1):
-        total = total + cur * (ps.psi_weight(m) * _ipow(y, m))
-        cur = op(cur)
-        if not any(cur.coeffs):
-            break
-    return total
+    def terms(cur=p):
+        for m in range(p.max_deg + 1):
+            yield cur, ps.psi_weight(m) * _ipow(y, m)
+            if not any((cur := op(cur)).coeffs):
+                return
+    return _weighted_sum(terms())
 
 
 def verify_psi_binomial(family: Sequence[TruncatedSeries], ps: PsiSequence,
@@ -425,14 +422,13 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
             comps = [laurent_component(eq, ctx, a, l) for l in range(n)]
             if (n, alpha) == (3, 1):
                 a3, comps3 = a, comps  # the generating function reads component 1
+            # Past component 0 the ladder wraps round and picks up a factor alpha.
+            wrapped = [c * complex(alpha) for c in comps]
             for l in range(n):
                 cur = comps[l]
-                factor = 1 + 0j
                 for k in range(1, n + 1):
                     cur = jackson_derivative(cur, qv)
-                    if (l - (k - 1)) % n == 0:
-                        factor *= complex(alpha)
-                    target = comps[(l - k) % n] * factor
+                    target = (comps if k <= l else wrapped)[(l - k) % n]
                     worst = max(worst, coeff_residual(cur, target, 0, trunc - k - n))
         reports.append(IdentityReport(
             f"derivative_ladder_n{n}",

@@ -300,6 +300,27 @@ def _termwise_lower(s: TruncatedSeries, number: Callable[[int], complex]) -> Tru
                            radius=s.radius)
 
 
+def _weighted_sum(terms: Iterable[tuple[TruncatedSeries, complex | None]]) -> TruncatedSeries:
+    """Sum s * w, or s where w is None, over terms read one at a time, as one series.
+    Per degree ((0 + t0) + t1) + ... is bit for bit the chain total = total + s * w from 0,
+    whose 0j outside a window changes no sum; the window spans degree 0 and every term's,
+    the radius is the least, and a scaled term, then a sum, raises DomainError as the chain's."""
+    lo, acc, radius = 0, [0j], math.inf
+    for s, w in terms:
+        if not lo <= s.min_deg <= s.max_deg < lo + len(acc):  # widen acc to cover the term
+            acc[:0], lo = [0j] * (lo - s.min_deg), min(lo, s.min_deg)  # [0j] * -k is []
+            acc += [0j] * (s.max_deg - lo + 1 - len(acc))
+        i, j = s.min_deg - lo, s.max_deg - lo + 1
+        w = w if w is None else _checked(w, "scalar")
+        sums = [a + (c if w is None else c * w) for a, c in zip(acc[i:j], s.coeffs)]
+        if not all(map(cmath.isfinite, sums)):  # a finite sum has a finite term
+            _finite(s.coeffs if w is None else [c * w for c in s.coeffs], s.min_deg)
+            _finite(sums, s.min_deg)
+        acc[i:j] = sums
+        radius = min(radius, s.radius)
+    return TruncatedSeries(lo, _Coeffs(acc), radius=radius)
+
+
 # -- constructors -------------------------------------------------------------
 
 def make_series(terms: Iterable[tuple[int, complex]],

@@ -309,6 +309,25 @@ def test_identity_suite_all_pass_at_unit_weight():
     assert byname["det_unimodular"].residual <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("alpha", [1, 2 + 1j])
+def test_identity_suite_powers_are_the_matrix_power_products(n, alpha):
+    # C(z)**2, C(z)**2 C(z) and C(z)**2 C(z)**2 are the products that
+    # np.linalg.matrix_power forms for m = 2, 3 and 4, so the residuals keep every bit.
+    a = alpha_root(alpha, n)
+    z, w = 0.3 + 0.1j, 0.2 - 0.15j
+    byname = {r.identity: r.residual for r in identity_suite(n, a, z, w)}
+    fam = build_family(n, a, 64)
+    circ = lambda v: circulant_from_components([h_eval(fam, s, v, "closed") for s in range(n)],
+                                               a.alpha)
+    cz = circ(z)
+    cz2 = cz @ cz
+    for m, power in zip((2, 3, 4), (cz2, cz2 @ cz, cz2 @ cz2)):
+        assert np.array_equal(power, np.linalg.matrix_power(cz, m))
+        residual = cheb_norm(np.linalg.matrix_power(cz, m) - circ(m * z))
+        assert byname[f"matrix_power_m{m}"] == residual
+
+
 def test_identity_suite_handles_other_weights():
     for alpha in (-1, 2, 1j):
         reps = identity_suite(3, alpha_root(alpha, 3), 0.5, 0.2)

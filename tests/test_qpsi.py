@@ -35,6 +35,7 @@ from cyclofun.reports import all_pass
 from cyclofun.series import (
     DomainError,
     TruncatedSeries,
+    _ipow,
     _termwise_lower,
     coeff_residual,
     make_series,
@@ -486,6 +487,93 @@ def test_translation_of_square_q_case():
     assert coeff_residual(t, want) <= 1e-15
 
 
+def _translation_chain(p, y, ps, operator=None):
+    """generalized_translation as a running sum that builds each term and each sum."""
+    op = operator if operator is not None else (lambda g: psi_derivative(g, ps))
+    y = complex(y)
+    total, cur = Polynomial([0]), p
+    for m in range(p.max_deg + 1):
+        total = total + cur * (ps.psi_weight(m) * _ipow(y, m))
+        cur = op(cur)
+        if not any(cur.coeffs):
+            break
+    return total
+
+
+def _lowering_chain(p, q):
+    """lowering_operator_apply as a running sum of series."""
+    total, cur = Polynomial([0]), jackson_derivative(p, q)
+    while any(cur.coeffs):
+        total = total + cur
+        cur = jackson_derivative(cur, q)
+    return -total
+
+
+def _counted(op, calls):
+    return lambda g: calls.append(g.max_deg) or op(g)
+
+
+def _assert_same_series(got, want):
+    assert (got.min_deg, got.max_deg, got.radius, got.label) == \
+        (want.min_deg, want.max_deg, want.radius, want.label)
+    assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 0.3 + 0.4j, -0.5])
+def test_translation_and_lowering_fold_as_the_running_sum(q):
+    # One pass per degree, ((0 + t0) + t1) + ..., gives every bit of the running
+    # sum, calls the operator as often, and keeps the window, radius and label.
+    rng = random.Random(11)
+    polys = [Polynomial([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d + 1)])
+             for d in range(9)]
+    polys += [Polynomial([0j] * n + [1]) for n in range(7)]
+    polys += [make_series([(1, -0.0j), (3, complex(-0.0, 2))]), make_series([(2, 1), (5, -3j)])]
+    fam = laguerre_family(5, q)
+    weights = [(0.5 - 0.25j) ** k / math.factorial(k) for k in range(13)]
+    seqs = (PsiSequence.q_deformation(q), PsiSequence.classical(),
+            PsiSequence.from_weights(weights))
+    for p in polys + fam:
+        _assert_same_series(lowering_operator_apply(p, q), _lowering_chain(p, q))
+        for ps in seqs:
+            for y in (0.7, -1.3 + 0.2j, 0.0):
+                got_calls, want_calls = [], []
+                op = lambda g, ps=ps: psi_derivative(g, ps)
+                got = generalized_translation(p, y, ps, _counted(op, got_calls))
+                _assert_same_series(got, _translation_chain(p, y, ps, _counted(op, want_calls)))
+                assert got_calls == want_calls
+                _assert_same_series(generalized_translation(p, y, ps),
+                                    _translation_chain(p, y, ps))
+    # make_series gives radius 4, the entire steps after it radius inf: the least is kept.
+    entire = lambda g: Polynomial(psi_derivative(g, seqs[0]).coeffs)
+    for p in polys[-2:]:
+        got = generalized_translation(p, 0.7, seqs[0], entire)
+        _assert_same_series(got, _translation_chain(p, 0.7, seqs[0], entire))
+        assert got.radius == 4.0
+    lag = lambda g: lowering_operator_apply(g, q)
+    for p in fam + polys[:5]:
+        got_calls, want_calls = [], []
+        got = generalized_translation(p, 0.9, seqs[0], _counted(lag, got_calls))
+        _assert_same_series(got, _translation_chain(p, 0.9, seqs[0], _counted(lag, want_calls)))
+        assert got_calls == want_calls
+
+
+@pytest.mark.parametrize("compute, chain, degree", [
+    # The m = 1 term 1e300 * 1e10 overflows before any sum.
+    (lambda: generalized_translation(Polynomial([1e300, 1e300]), 1e10, PsiSequence.classical()),
+     lambda: _translation_chain(Polynomial([1e300, 1e300]), 1e10, PsiSequence.classical()), 0),
+    # D_q p and D_q**2 p are finite; their degree-0 sum 1.5e308 + 1.5e308 is not.
+    (lambda: lowering_operator_apply(Polynomial([0, 1.5e308, 1e308]), 0.5),
+     lambda: _lowering_chain(Polynomial([0, 1.5e308, 1e308]), 0.5), 0),
+], ids=["translation_term", "lowering_sum"])
+def test_fold_overflow_raises_the_running_sum_message(compute, chain, degree):
+    with pytest.raises(DomainError) as want:
+        chain()
+    assert str(want.value).startswith(f"coefficient of degree {degree} is not finite")
+    with pytest.raises(DomainError) as got:
+        compute()
+    assert str(got.value) == str(want.value)
+
+
 def test_binomial_convolution_for_powers():
     powers = [Polynomial([0j] * n + [1]) for n in range(10)]
     for q in (0.5, 2.0):
@@ -639,6 +727,41 @@ def test_qpsi_battery_passes():
         assert "derivative_ladder_n3" in names
         assert "binomial_symmetric_laguerre_breaks" in names
         assert "generating_function" in names
+
+
+def _ladder_chain(q, trunc):
+    """The derivative ladder residuals, each target rebuilt as comps[j] * factor."""
+    ps = PsiSequence.q_deformation(q)
+    eq = series_exp_psi(ps, trunc)
+    out = {}
+    for n in (2, 3, 4):
+        ctx, worst = make_context(n), 0.0
+        for alpha in (1, -1, 2):
+            a = alpha_root(alpha, n)
+            comps = [laurent_component(eq, ctx, a, l) for l in range(n)]
+            for l in range(n):
+                cur, factor = comps[l], 1 + 0j
+                for k in range(1, n + 1):
+                    cur = jackson_derivative(cur, ps.q)
+                    if (l - (k - 1)) % n == 0:
+                        factor *= complex(alpha)
+                    target = comps[(l - k) % n] * factor
+                    worst = max(worst, coeff_residual(cur, target, 0, trunc - k - n))
+        out[f"derivative_ladder_n{n}"] = worst
+    return out
+
+
+@pytest.mark.parametrize("q", [0.5, 2, 0.3 + 0.4j, -0.5])
+def test_derivative_ladder_residuals_match_the_rebuilt_targets(q, monkeypatch):
+    # At q = -0.5 the generating-function point lies outside the exponential's
+    # disk and the battery stops after the ladder; stub that last check.
+    monkeypatch.setattr(qpsi_module, "verify_generating_function", lambda *args: 0.0)
+    for trunc in (8, 64):
+        want = _ladder_chain(q, trunc)
+        for seed in range(4):
+            got = {r.identity: r.residual for r in qpsi_checks(q, seed, trunc)
+                   if r.identity in want}
+            assert got == want
 
 
 def test_qpsi_battery_sieves_its_exponential_once(monkeypatch):

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.hyperbolic import laurent_component
-from cyclofun.qpsi import Polynomial, PsiSequence, jackson_derivative, psi_derivative
+from cyclofun.qpsi import (
+    Polynomial,
+    PsiSequence,
+    generalized_translation,
+    jackson_derivative,
+    lowering_operator_apply,
+    psi_derivative,
+)
 from cyclofun.series import (
     PRODUCT_DEGREE_CAP,
     DomainError,
@@ -101,8 +108,11 @@ _BIG = make_series([(-1, 1), (0, 1), (2, 1e308)])
     (lambda: project_series(make_series([(0, 1), (5, 1e300)]), make_context(2), 1,
                             alpha_root(1e10, 2)), 5),
     (lambda: _BIG.scale_argument(10), 2),
+    (lambda: generalized_translation(Polynomial([1e300, 1e300]), 1e10,
+                                     PsiSequence.classical()), 0),
+    (lambda: lowering_operator_apply(Polynomial([0, 1.5e308, 1e308]), 0.5), 0),
 ], ids=["sum", "scalar", "product", "derivative", "jackson", "psi", "sieve",
-        "scale_argument"])
+        "scale_argument", "translation_term", "lowering_sum"])
 def test_computed_overflow_is_a_domain_error_naming_its_degree(compute, degree):
     with pytest.raises(DomainError, match=rf"coefficient of degree {degree} is not finite"):
         compute()
