@@ -99,6 +99,10 @@ def _commands() -> list[list[str]]:
         ["decompose", "--builtin", "expq", "--q=-0.999999999", "--trunc", "200"],
         ["det", "--components", "1e120,2e120,3e120", "--n", "3"],
         ["det", "--components", "1,2", "--n", "2", "--alpha", "1e308"],
+        # The sieve's alpha = 0 rule and its subnormal weights; one closed read.
+        ["decompose", "--builtin", "exp", "--n", "3", "--trunc", "12", "--alpha=0"],
+        ["decompose", "--builtin", "exp", "--n", "3", "--trunc", "12", "--alpha=1e-160"],
+        ["eval", "--builtin", "exp", "--n", "2", "--s", "1", "--z", "0.3", "--method", "closed"],
     ]
     return cmds
 

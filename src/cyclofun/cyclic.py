@@ -110,13 +110,18 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
     # Degrees n*m + k sit at offsets first, first + n, ...; the first has m = m0.
     first = (k - s.min_deg) % n
     m0 = (s.min_deg + first - k) // n
-    kept = s.coeffs[first::n]
-    # A zero stays itself: alpha**m may overflow where the coefficient is 0.
-    sieved = _finite([_class_weight(a.alpha, m) * c if c else c
-                      for m, c in enumerate(kept, m0)], s.min_deg + first, n)
+    kept, alpha = s.coeffs[first::n], a.alpha
+    # A zero stays itself: alpha**m may overflow there.  For alpha != 0 and m >= 0,
+    # _class_weight(alpha, m) is alpha ** m.
+    if alpha and m0 >= 0:
+        sieved = [alpha ** m * c if c else c for m, c in enumerate(kept, m0)]
+    else:
+        sieved = [_class_weight(alpha, m) * c if c else c for m, c in enumerate(kept, m0)]
+    if not all(map(cmath.isfinite, sieved)):  # an overflow: _finite names its degree
+        _finite(sieved, s.min_deg + first, n)
     out = [0j] * len(s.coeffs)
     out[first::n] = sieved
-    radius = _scaled_radius(s.radius, a.root, kept, sieved) if a.alpha else math.inf
+    radius = _scaled_radius(s.radius, a.root, kept, sieved) if alpha else math.inf
     # Only the sieved entries are new; the rest of the window is zeros.
     return TruncatedSeries(s.min_deg, _Coeffs(out), label=s.label, radius=radius, _stride=(n, k))
 
@@ -131,11 +136,11 @@ def project_pointwise(f: Callable[[complex], complex], ctx: CyclicContext,
     _check_root(a, ctx.n)
     if a.alpha == 0:
         raise ValueError("alpha = 0 has no pointwise form; use project_series")
-    n = ctx.n
+    n, omega, root = ctx.n, ctx.omega_pow, a.root
     k = int(k) % n
     z = complex(z)
     acc = 0j
-    for j in range(n):
-        acc += ctx.omega_pow[(-j * k) % n] * f(ctx.omega_pow[j] * a.root * z)
-    return acc / n * _ipow(a.root, -k)
+    for j, u in enumerate(omega):
+        acc += omega[(-j * k) % n] * f(u * root * z)
+    return acc / n * _ipow(root, -k)
 

@@ -44,9 +44,10 @@ class HyperbolicFamily:
     root: AlphaRoot
     components: tuple[TruncatedSeries, ...]
     base: Callable[[complex], complex] = field(compare=False)
-    # Closed-route rows by point, {z: (values, max_k |f|)} or {z: refusal}:
-    # one batch's rows, built in full and swapped in by one assignment, so a
-    # shared family never pairs a point with another point's values.
+    # Closed-route rows by point, {z: [h_s(z), or the float rounding bound that
+    # refuses it, for each s]} or {z: the point's OverflowError}: one batch's
+    # rows, settled in full and swapped in by one assignment, so a shared family
+    # never pairs a point with another point's values.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -87,7 +88,8 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
     all n components at once and keeps them while z is in the family's last
     batch of points (_closed_components; a point outside it is a batch of one).
     It raises DomainError when its rounding bound, eps max|f| |r|**-s (the
-    weight-scaled transform error), exceeds 1e-9 max(1, |h_s|).
+    weight-scaled transform error), exceeds 1e-9 max(1, |h_s|): a read returns
+    or refuses what its batch settled once for the whole row.
     """
     s = int(s) % fam.ctx.n
     z = complex(z)
@@ -100,22 +102,22 @@ def h_eval(fam: HyperbolicFamily, s: int, z: complex, method: str = "series") ->
     row = fam._memo.get(z) or _closed_components(fam, [z])[z]
     if isinstance(row, Exception):
         raise row.with_traceback(None)
-    vals, fmax = row
-    err = sys.float_info.epsilon * fmax * fam._kernel[2][s]
-    if err > 1e-9 and err > 1e-9 * abs(vals[s]):  # err > 1e-9 max(1, |h_s|)
-        raise DomainError(f"closed form rounding bound {err:.3g} at z = {z} exceeds "
+    h = row[s]
+    if type(h) is float:  # the rounding bound that refuses h_s(z), named with this z
+        raise DomainError(f"closed form rounding bound {h:.3g} at z = {z} exceeds "
                           "1e-9 max(1, |value|); use the series method")
-    return vals[s]
+    return h
 
 
 def _closed_components(fam: HyperbolicFamily, zs: list[complex]) -> dict:
     """The rows of points zs, swapped in as the family's memo: h_s(z) = r**-s
-    fft([f(omega**k r z)]_k)[s] / n for every s and max_k |f|, or the point's
-    OverflowError where a rotated argument or a value is not finite.  Only a
-    base that is not a ufunc, refusing an argument, refuses the whole call."""
+    fft([f(omega**k r z)]_k)[s] / n for every s, or in its place the float
+    rounding bound eps max_k |f| |r|**-s where that exceeds 1e-9 max(1, |h_s|);
+    or the point's OverflowError where a rotated argument or a value is not
+    finite.  Only a base that is not a ufunc, refusing an argument, refuses the call."""
     import numpy as np
 
-    rotated, weights, _ = fam._kernel
+    rotated, weights, factors = fam._kernel
     with np.errstate(all="ignore"):
         args = rotated * np.array(zs, dtype=complex)[:, None]
         if fam.base is cmath.exp:
@@ -130,11 +132,14 @@ def _closed_components(fam: HyperbolicFamily, zs: list[complex]) -> dict:
                         raise DomainError(f"closed form at z = {z}: "
                                           + str(exc).replace("|z|", "|r z|", 1)) from None
         vals = np.fft.fft(f, axis=1) * weights
-    memo = {}
+    memo, cap = {}, max(factors)
     for i, (z, v, fz, ok) in enumerate(zip(zs, vals.tolist(), f.tolist(),
                                            np.isfinite(vals).all(axis=1))):
         if ok:
-            memo[z] = v, max(map(abs, fz))
+            e = sys.float_info.epsilon * max(map(abs, fz))  # rounding is monotonic: e c <= e cap
+            memo[z] = v if e * cap <= 1e-9 else [
+                err if (err := e * c) > 1e-9 and err > 1e-9 * abs(h) else h
+                for h, c in zip(v, factors)]
         else:
             where = "" if np.isfinite(args[i]).all() else f": |r z| = {abs(fam.root.root * z):.6g}"
             memo[z] = OverflowError(f"closed form overflows at z = {z}{where}")

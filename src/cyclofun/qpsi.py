@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context
@@ -201,7 +201,7 @@ def jackson_derivative(s: TruncatedSeries, q) -> TruncatedSeries:
 
     Laurent windows are fine; negative degrees use the continued q-integers.
     """
-    return _termwise_lower(s, lambda d: q_number(q, d))
+    return _termwise_lower(s, partial(q_number, q))
 
 
 def psi_derivative(s: TruncatedSeries, ps: PsiSequence) -> TruncatedSeries:
@@ -469,7 +469,10 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
         reports.append(IdentityReport(name, params, verify_psi_binomial(fam, ps, x, y, op, basis),
                                       tol, expect))
 
+    # Where x z lies outside the component's disk, z pulls it in to half the radius.
     x, z = 0.8 + 0j, 0.9 + 0j
+    if abs(x * z) > comps3[1].radius:
+        z = z * (comps3[1].radius / 2 / abs(x * z))
     reports.append(IdentityReport(
         "generating_function",
         {"kind": ps.kind, "n": 3, "alpha": a3.alpha, "branch": a3.branch, "s": 1,

@@ -8,7 +8,6 @@ operations return new values, so series can be shared freely across threads.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 import sys
 from typing import Callable, Iterable, Sequence
@@ -32,6 +31,7 @@ PRODUCT_DEGREE_CAP = 256
 DEFAULT_TRUNCATION = 64
 ENTIRE_MAX_ABS_ARG = 4.0
 GEOMETRIC_MAX_ABS_ARG = 0.9
+_MIN_NORMAL = sys.float_info.min  # a power or a coefficient below it has lost precision
 
 
 class DomainError(ValueError):
@@ -89,15 +89,11 @@ def _ipow(base: complex, exponent: int) -> complex:
     return p if exponent > 0 or cmath.isfinite(p) else (1 / base) ** -exponent
 
 
-def _normal(x: complex) -> complex:
-    return x if sys.float_info.min <= abs(x) < math.inf else math.nan
-
-
 def _times_power(acc: complex, base: complex, m: int) -> complex:
     """acc * base**m (m >= 0), in three steps where base**m is not a normal float."""
-    try:
-        p = _ipow(base, m) if acc else 1  # a zero acc skips the power, which may overflow
-        if cmath.isfinite(_normal(p)):
+    try:  # base ** m is _ipow's but at base = 0, m > 0, where both are zeros, not normal
+        p = base ** m if acc else 1  # a zero acc skips the power, which may overflow
+        if _MIN_NORMAL <= abs(p) < math.inf:
             return acc * p
     except OverflowError:
         pass
@@ -108,8 +104,9 @@ def _scaled_radius(radius: float, factor: complex, before, after) -> float:
     """radius / |factor| for f(factor z), but no wider than radius once a normal
     coefficient in `before` fell below the smallest normal float in `after`:
     a wider disk would expose the term that underflowed."""
-    wide = radius / abs(factor)
-    if any(abs(v) < sys.float_info.min <= abs(c) for c, v in zip(before, after)):
+    wide = radius / abs(factor)  # scan pairs only where an `after` value is below _MIN_NORMAL
+    if (min(map(abs, after), default=_MIN_NORMAL) < _MIN_NORMAL
+            and any(abs(v) < _MIN_NORMAL <= abs(c) for c, v in zip(before, after))):
         return min(wide, radius)
     return wide
 
@@ -174,10 +171,12 @@ class TruncatedSeries:
         if self.min_deg < 0 and z == 0:
             raise DomainError("z = 0 is outside the domain of a negative-degree window")
         if self._stride[0] > 1:  # where a step power is not normal or the sum not finite, (1, 0)
-            with contextlib.suppress(OverflowError):
+            try:
                 total = self._class_sum(z, *self._stride)
                 if cmath.isfinite(total):
                     return total
+            except OverflowError:
+                pass
         total = self._class_sum(z, 1, 0)
         if not cmath.isfinite(total):
             raise DomainError(f"the series value at z = {z} is not finite, got {total!r}")
@@ -188,16 +187,16 @@ class TruncatedSeries:
         so no term shrinks below its share and grows back; nan if a step power is not normal.
         At n = 1 the steps are z and 1/z, unchecked: z = 0 and subnormal z are valid points.
         An end power z**0 is the product with 1 + 0j that _times_power would make."""
-        total = 0j
+        total = acc = 0j
         if self.max_deg >= 0:
             first = max(self.min_deg, 0) + (k - max(self.min_deg, 0)) % n
-            w, acc = _normal(z ** n) if n > 1 else z, 0j
+            w = z if n == 1 else p if _MIN_NORMAL <= abs(p := z ** n) < math.inf else math.nan
             for c in reversed(self.coeffs[first - self.min_deg::n]):
                 acc = acc * w + c
             total += _times_power(acc, z, first) if first else acc * (1 + 0j)
         if self.min_deg < 0:
             e, u, acc = min(self.max_deg, -1), 1 / z, 0j  # the last class degree: e - (e - k) % n
-            v = _normal(u ** n) if n > 1 else u
+            v = u if n == 1 else p if _MIN_NORMAL <= abs(p := u ** n) < math.inf else math.nan
             for c in self.coeffs[(k - self.min_deg) % n:e - self.min_deg + 1:n]:
                 acc = acc * v + c
             total += _times_power(acc, u, (e - k) % n - e)

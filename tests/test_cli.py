@@ -426,6 +426,23 @@ def test_verify_qpsi_refuses_a_truncation_that_empties_the_ladder(capsys):
     assert code == 0 and out.endswith("13/13 checks passed\n")
 
 
+def test_verify_qpsi_pulls_the_generating_function_point_into_the_disk(capsys):
+    # At q = -0.5 the psi-exponential's component has radius 0.6, so the point
+    # x z = 0.8 * 0.9 is pulled in to |x z| = 0.3: z = 0.375, named in its params.
+    code, out, err = run_cli(capsys, "verify", "--suite", "qpsi", "--q=-0.5", "--format", "json")
+    assert code == 0 and err == ""
+    reports = json.loads(out)
+    assert len(reports) == 13 and all(r["pass"] for r in reports)
+    (gen,) = [r for r in reports if r["identity"] == "generating_function"]
+    assert abs(0.8 * gen["params"]["z"][0]) == pytest.approx(0.3, rel=1e-15)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "qpsi", "--q=-0.5")
+    assert code == 0 and out.count("[PASS]") == 13 and out.endswith("13/13 checks passed\n")
+    # Inside the disk the point stays: q = 0.5 keeps z = 0.9.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "qpsi", "--format", "json")
+    (gen,) = [r for r in json.loads(out) if r["identity"] == "generating_function"]
+    assert code == 0 and gen["params"]["z"] == [0.9, 0.0]
+
+
 def test_decompose_exp_at_a_very_long_truncation(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--builtin", "exp", "--n", "3",
                            "--trunc", "100000")

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import re
+import sys
 
 import mpmath
 import pytest
@@ -159,16 +160,29 @@ def test_sieve_weights_negative_classes():
 
 
 # The per-degree loop that the strided slice replaced, kept as the reference.
-def _loop_project(s, ctx, k, a):
-    n = ctx.n
+def _loop_sieve(s, ctx, k, a):
+    """The sieve per degree with _class_weight, a zero in the class kept as it is, and its
+    radius: the input's over |r|, but the input's once a normal class coefficient fell
+    below the normal floats, and infinite at alpha = 0."""
+    n, tiny = ctx.n, sys.float_info.min
     k = int(k) % n
-    out = []
+    out, radius = [], s.radius / abs(a.root) if a.alpha else math.inf
     for d, c in zip(s.degrees(), s.coeffs):
-        if (d - k) % n == 0:
-            out.append(_class_weight(a.alpha, (d - k) // n) * c)
-        else:
-            out.append(0j)
-    return out
+        in_class = (d - k) % n == 0
+        out.append(_class_weight(a.alpha, (d - k) // n) * c if in_class and c else
+                   c if in_class else 0j)
+        if a.alpha and in_class and abs(out[-1]) < tiny <= abs(c):
+            radius = min(radius, s.radius)
+    return out, radius
+
+
+def _assert_sieve_is_the_loop(s, ctx, k, a):
+    # bit for bit, signed zeros included, and the radius
+    p = project_series(s, ctx, k, a)
+    want, radius = _loop_sieve(s, ctx, k, a)
+    assert (p.min_deg, p.label) == (s.min_deg, s.label)
+    assert list(map(repr, p.coeffs)) == list(map(repr, want))
+    assert repr(p.radius) == repr(radius)
 
 
 def test_strided_sieve_matches_the_per_degree_loop():
@@ -184,12 +198,29 @@ def test_strided_sieve_matches_the_per_degree_loop():
                 for alpha in (0, 1, -1, 2 + 1j, 1e-3):
                     a = alpha_root(alpha, n)
                     for k in (-n - 1, -1, 0, 1, n - 1, n, 2 * n + 1):
-                        p = project_series(s, ctx, k, a)
-                        want = _loop_project(s, ctx, k, a)
-                        assert p.min_deg == s.min_deg and p.label == "probe"
-                        assert p.coeffs == tuple(want)
-                        # bit for bit, signed zeros included
-                        assert list(map(repr, p.coeffs)) == list(map(repr, want))
+                        _assert_sieve_is_the_loop(s, ctx, k, a)
+
+
+@pytest.mark.parametrize("alpha, min_deg, coeffs", [
+    # alpha**m overflows from m = 2 (n = 2) or m = 3 (n = 3): only zeros sit there
+    (1e200, 0, [1, 0.5 - 1j, 1e-150, 2j, 0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                -0j, 0j, 0j, 0j, complex(-0.0, -0.0), 0j]),
+    # the weight 1e-320 is subnormal, so the radius keeps the input's
+    (1e-160, 0, [1, -2, 0.5j, 3 + 1j, 1, 1, 2, 1]),
+    # every weight normal: the radius widens by 1 / |r|
+    (1e-160, 0, [1, -2, 0.5j, 3 + 1j]),
+    # a window with negative degrees takes _class_weight's negative powers
+    (2 + 1j, -7, [0.25 * (d + 1j) if d % 4 else 0j for d in range(-7, 12)]),
+    (1e-3, -5, [complex(-0.0, 1), 1, 0j, 2 - 1j, 1, 3, 0.5, 1e-10]),
+    # alpha = 0 keeps each class's m = 0 term and is entire
+    (0, 0, [1, 2, 3j, 0j, complex(-0.0, 0.0), 4, 5, 6]),
+    (0, -3, [1, 2, 3j, -0j, 4, 5, 6]),
+])
+def test_sieve_matches_the_per_degree_loop_at_edge_weights(alpha, min_deg, coeffs):
+    s = TruncatedSeries(min_deg, coeffs, label="probe")
+    for n in (2, 3):
+        for k in range(n):
+            _assert_sieve_is_the_loop(s, make_context(n), k, alpha_root(alpha, n))
 
 
 def test_sieve_leaves_zero_coefficients_unweighted():
@@ -206,12 +237,7 @@ def test_sieve_leaves_zero_coefficients_unweighted():
             for alpha in (0, 1, -1, 2 + 1j, 1e-3):
                 a = alpha_root(alpha, n)
                 for k in range(n):
-                    p = project_series(s, ctx, k, a)
-                    want = _loop_project(s, ctx, k, a)
-                    assert p.coeffs == tuple(want)
-                    for d, got, ref, c in zip(s.degrees(), p.coeffs, want, s.coeffs):
-                        expected = c if c == 0 and (d - k) % n == 0 else ref
-                        assert repr(got) == repr(expected), (n, min_deg, alpha, k, d)
+                    _assert_sieve_is_the_loop(s, ctx, k, a)
 
 
 def test_sieve_of_a_long_zero_tail_does_not_overflow():

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -141,18 +142,42 @@ def _rows_alone(fam, zs):
 
 def test_batched_closed_rows_equal_one_point_rows_bit_for_bit():
     rng = random.Random(16)
+    refused = 0
     for n in (2, 3, 5, 16, 64):
         for alpha in (1, -1, 2 + 1j, 1e-6):
             fam = build_family(n, alpha_root(alpha, n))
             zs = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(n + 6)]
             batch = _closed_components(fam, zs)
             assert [repr(batch[z]) for z in zs] == _rows_alone(fam, zs), (n, alpha)
-            # and the one-point transform written out: exp of omega**k r times z
-            rotated, weights, _ = fam._kernel
+            # and the one-point transform written out, each component settled:
+            # exp of omega**k r times z, refused where its rounding bound
+            # eps max_k |f| |r|**-s exceeds 1e-9 max(1, |h_s|)
+            rotated, weights, factors = fam._kernel
             for z in zs:
                 f = np.exp(rotated * z)
-                want = ((np.fft.fft(f) * weights).tolist(), max(map(abs, f.tolist())))
+                e = sys.float_info.epsilon * max(map(abs, f.tolist()))
+                want = []
+                for h, c in zip((np.fft.fft(f) * weights).tolist(), factors):
+                    err = e * c
+                    want.append(err if err > 1e-9 and err > 1e-9 * abs(h) else h)
                 assert repr(batch[z]) == repr(want), (n, alpha, z)
+                # a read returns its settled value or raises with its settled bound
+                for s, h in enumerate(want):
+                    if type(h) is float:
+                        refused += 1
+                        with pytest.raises(DomainError) as info:
+                            h_eval(fam, s, z, "closed")
+                        assert str(info.value) == (
+                            f"closed form rounding bound {h:.3g} at z = {z} exceeds "
+                            "1e-9 max(1, |value|); use the series method")
+                    else:
+                        assert repr(h_eval(fam, s, z, "closed")) == repr(h)
+    assert refused > 50  # both sides of the bound are read
+    # A refusal names the point as read, not the equal point of the batch.
+    fam = build_family(8, alpha_root(1e-40, 8))
+    _closed_components(fam, [0j])
+    with pytest.raises(DomainError, match=r"at z = \(-0-0j\) exceeds"):
+        h_eval(fam, 7, complex(-0.0, -0.0), "closed")
 
 
 def test_a_refused_point_refuses_only_its_own_row():
