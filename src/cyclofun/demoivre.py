@@ -114,13 +114,16 @@ def sylvester_matrix(ctx: CyclicContext) -> np.ndarray:
     """Unitary root-of-unity matrix S with entries omega**(k l) / sqrt(n).
 
     Its columns are the eigenvectors of the untwisted shift, so S* G S is
-    diagonal with the n-th roots of unity on the diagonal.
+    diagonal with the n-th roots of unity on the diagonal.  The n roots are
+    scaled once, then gathered by k l mod n, taken as k l - n (k l // n), not by %.
     """
     import numpy as np
 
     n = ctx.n
     k = np.arange(n)
-    return np.array(ctx.omega_pow)[np.outer(k, k) % n] * (1 / math.sqrt(n))
+    kk = np.outer(k, k)
+    kk -= n * (kk // n)
+    return (np.array(ctx.omega_pow) * (1 / math.sqrt(n)))[kk]
 
 
 def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled") -> np.ndarray:
@@ -129,9 +132,11 @@ def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled")
     "assembled" places the hyperbolic component values into the twisted
     circulant pattern; "taylor" sums the matrix Taylor series until the
     remainder bound (max(1,|alpha|) |z|)**(k+1)/(k+1)! drops below 1e-15.
-    The Taylor route applies the shift as a shift: column j of term @ (z G)
-    is z times column j-1 of term, and column 0 is alpha z times the last,
-    so a term costs O(n**2) and no matrix product.
+    Term k, (z G)**k / k!, has one nonzero per row, entry (i, (i + k) mod n):
+    the Taylor route keeps it as that wrapped diagonal, a length-n vector, so
+    a term costs O(n): z / k times the last, with alpha z / k for the one
+    entry that wraps into column 0.  Each term is added into its diagonal's
+    sum, and the n sums are placed into the n x n result once.
     """
     import numpy as np
 
@@ -144,22 +149,27 @@ def demoivre_matrix(n: int, a: AlphaRoot, z: complex, method: str = "assembled")
     if method != "taylor":
         raise ValueError(f"unknown method {method!r}")
     wrap = complex(a.alpha) * z
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    nxt = np.empty_like(term)
+    diags = np.zeros((n, n), dtype=complex)  # row d: entries (i, (i + d) mod n)
+    diags[0] = 1
+    term = np.ones(n, dtype=complex)
     rho = max(1.0, abs(a.alpha)) * abs(z)
     bound = 1.0
     for k in range(1, 400):
-        np.multiply(term[:, :-1], z / k, out=nxt[:, 1:])
-        np.multiply(term[:, -1], wrap / k, out=nxt[:, 0])
-        term, nxt = nxt, term
-        total += term
+        i = -k % n  # the row whose entry wraps into column 0
+        corner = term[i:i + 1] * (wrap / k)  # a slice: numpy's scalar product rounds apart
+        term *= z / k
+        term[i] = corner[0]
+        row = diags[k % n]
+        row += term
         bound *= rho / k
         if bound < TAYLOR_TAIL_BOUND:
             break
     else:
         raise RuntimeError("matrix Taylor series failed to meet the tail bound")
-    return total
+    # Entry (i, j) is diags[(j - i) mod n, i] = ext[n + j - i, i]: one strided view.
+    ext = np.concatenate((diags, diags))
+    step = ext.itemsize
+    return np.ndarray((n, n), complex, ext, n * n * step, ((1 - n) * step, n * step)).copy()
 
 
 def _component_values(fam: HyperbolicFamily, z: complex) -> list[complex]:

@@ -184,13 +184,14 @@ class PsiSequence:
     def binomial(self, n: int, k: int):
         """Deformed binomial via a falling product, dodging inf/inf.
 
-        The boundary values k = 0 and k = n are exactly 1.
+        The product runs over min(k, n - k) factors; k = 0 and k = n give exactly 1.
         """
         n, k = int(n), int(k)
         if k < 0 or k > n:
             return 0.0
         if k == 0 or k == n:
             return 1.0
+        k = min(k, n - k)
         return math.prod(self._numbers[n - k + 1:self._index(n) + 1]) / self._fact[k]
 
 

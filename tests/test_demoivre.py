@@ -99,6 +99,42 @@ def _dense_taylor(n, alpha, z):
     return total
 
 
+def _column_shift_taylor(n, alpha, z):
+    """The matrix Taylor sum with each term applied as a column shift, O(n**2)
+    per term: the reference for the wrapped-diagonal accumulator."""
+    z = complex(z)
+    wrap = complex(alpha) * z
+    total = np.eye(n, dtype=complex)
+    term = np.eye(n, dtype=complex)
+    nxt = np.empty_like(term)
+    rho = max(1.0, abs(alpha)) * abs(z)
+    bound = 1.0
+    for k in range(1, 400):
+        np.multiply(term[:, :-1], z / k, out=nxt[:, 1:])
+        np.multiply(term[:, -1], wrap / k, out=nxt[:, 0])
+        term, nxt = nxt, term
+        total += term
+        bound *= rho / k
+        if bound < TAYLOR_TAIL_BOUND:
+            break
+    else:
+        raise RuntimeError("matrix Taylor series failed to meet the tail bound")
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 128, 256])
+def test_taylor_diagonals_equal_the_column_shift_byte_for_byte(n):
+    # Each term is one wrapped diagonal; summed per diagonal and placed once,
+    # every entry sees the same operations in the same order as the shift.
+    for alpha in (0, 1, -1, 1j, 2 + 1j, 1e-3):
+        a = alpha_root(alpha, n)
+        for z in (0, 0.7, -0.7, 0.7j, -2j, 1 + 1j, 2.5 - 1j):
+            want = _column_shift_taylor(n, a.alpha, z)
+            got = demoivre_matrix(n, a, z, "taylor")
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n, alpha, z)
+
+
 def test_taylor_shift_step_matches_the_dense_product():
     # n = 2 and alpha = 0 exercise the wrap column, which carries alpha z.
     for n in (2, 3, 5, 128):
@@ -108,7 +144,7 @@ def test_taylor_shift_step_matches_the_dense_product():
                 want = _dense_taylor(n, alpha, z)
                 got = demoivre_matrix(n, a, z, "taylor")
                 assert cheb_norm(got - want) <= 1e-14 * cheb_norm(want), (n, alpha, z)
-    for route in (_dense_taylor, lambda n, alpha, z: demoivre_matrix(
+    for route in (_dense_taylor, _column_shift_taylor, lambda n, alpha, z: demoivre_matrix(
             n, alpha_root(alpha, n), z, "taylor")):
         with pytest.raises(RuntimeError):
             route(3, 1, 300)
@@ -289,8 +325,8 @@ def test_sylvester_is_unitary_and_diagonalizes_the_shift():
         assert cheb_norm(np.linalg.matrix_power(s, 4) - np.eye(n)) <= 1e-12
 
 
-def test_sylvester_at_order_256_is_the_unitary_root_table():
-    n = 256
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 128, 256])
+def test_sylvester_is_the_unitary_root_table(n):
     ctx = make_context(n)
     s = sylvester_matrix(ctx)
     scale = 1 / math.sqrt(n)

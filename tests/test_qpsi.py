@@ -117,6 +117,29 @@ def test_deformed_binomial_values():
     assert PsiSequence.classical().factorial(5) == 120
 
 
+def _gaussian_binomial(n, k, q):
+    """[n choose k]_q as an exact integer, for an integer q >= 2."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_deformed_binomial_matches_exact_gaussian_binomials():
+    # The falling product runs over min(k, n - k) factors, so [45 choose 41]_2,
+    # about 7.6e49, no longer passes through 2**1025 before the division.
+    ps = PsiSequence.q_deformation(2)
+    assert ps.binomial(45, 41) == ps.binomial(45, 4)
+    assert abs(ps.binomial(45, 41) / 7.6e49 - 1) < 1e-3
+    for n in range(PSI_CAP + 1):
+        for k in range(n + 1):
+            got = ps.binomial(n, k)
+            if math.isfinite(got):
+                want = _gaussian_binomial(n, k, 2)
+                assert abs(int(got) - want) * 10 ** 12 <= want, (n, k)
+
+
 def test_degenerate_deformations_rejected():
     with pytest.raises(ValueError):
         PsiSequence.q_deformation(1)
