@@ -67,7 +67,9 @@ def _fmt_complex(c: complex) -> str:
     return f"{_fmt(c.real)}{c.imag:+.17g}i"
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, out) -> None:
+    """Write out by --format: a JSON value with indent 2, else lines; then one newline."""
+    text = (json.dumps(out, indent=2) if args.format == "json" else "\n".join(out)) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -97,21 +99,34 @@ def _effective_tolerance(args, fallback: float | None = None) -> float | None:
 
 # -- series sources -----------------------------------------------------------
 
-def _load_series(args) -> tuple[TruncatedSeries, dict]:
-    """The series named by --input or --builtin (exp if neither), with its provenance."""
+def _load_series(args) -> TruncatedSeries:
+    """The series named by --input or --builtin (exp if neither)."""
     if args.input:
         with open(args.input) as fh:
             try:
                 obj = json.load(fh)
             except RecursionError:
                 raise ValueError(f"{args.input}: JSON nested too deeply") from None
-        return series_from_json(obj), {"input": args.input}
+        return series_from_json(obj)
     if args.builtin == "geometric":
-        return series_geometric(args.trunc), {"builtin": "geometric"}
+        return series_geometric(args.trunc)
     if args.builtin == "expq":
-        ps = PsiSequence.q_deformation(args.q)
-        return series_exp_psi(ps, args.trunc), {"builtin": "expq", "q": _pair(args.q)}
-    return series_exp(args.trunc), {"builtin": "exp"}
+        return series_exp_psi(PsiSequence.q_deformation(args.q), args.trunc)
+    return series_exp(args.trunc)
+
+
+def _provenance(args) -> dict:
+    """{"input": path}, or {"builtin": name} with "q" added for expq; the first value names it."""
+    if args.input:
+        return {"input": args.input}
+    if args.builtin == "expq":
+        return {"builtin": "expq", "q": _pair(args.q)}
+    return {"builtin": args.builtin or "exp"}
+
+
+def _family_head(args, a: AlphaRoot, **provenance) -> dict:
+    """The JSON head: the provenance given, then n, alpha as [re, im], branch."""
+    return {**provenance, "n": args.n, "alpha": _pair(a.alpha), "branch": a.branch}
 
 
 def _family_text(args, a: AlphaRoot) -> str:
@@ -135,7 +150,7 @@ def _reverify_decomposition(s: TruncatedSeries, comps, a) -> bool:
 
 
 def _cmd_decompose(args) -> int:
-    s, meta = _load_series(args)
+    s = _load_series(args)
     ctx = make_context(args.n)
     a = alpha_root(args.alpha, args.n, args.branch)
     comps = [laurent_component(s, ctx, a, k) for k in range(args.n)]
@@ -144,103 +159,81 @@ def _cmd_decompose(args) -> int:
         return 3
 
     if args.format == "json":
-        obj = dict(meta)
-        obj.update({
-            "n": args.n,
-            "alpha": _pair(a.alpha),
-            "branch": a.branch,
+        out = {
+            **_family_head(args, a, **_provenance(args)),
             "root": _pair(a.root),
             "components": [series_to_json(c) for c in comps],
             "verified": True,
-        })
-        _emit(args, json.dumps(obj, indent=2) + "\n")
+        }
     elif args.format == "csv":
-        lines = ["component,degree,re,im"]
+        out = ["component,degree,re,im"]
         for k, c in enumerate(comps):
             for d, v in zip(c.degrees(), c.coeffs):
                 if v != 0:
-                    lines.append(f"{k},{d},{_fmt(v.real)},{_fmt(v.imag)}")
-        _emit(args, "\n".join(lines) + "\n")
+                    out.append(f"{k},{d},{_fmt(v.real)},{_fmt(v.imag)}")
     else:
-        src = meta.get("builtin") or meta.get("input")
-        lines = [f"decomposition of {src}: {_family_text(args, a)} root={_fmt_complex(a.root)}"]
+        src, *_ = _provenance(args).values()
+        out = [f"decomposition of {src}: {_family_text(args, a)} root={_fmt_complex(a.root)}"]
         for k, c in enumerate(comps):
-            lines.append(f"component {k} (degrees = {k} mod {args.n}), "
-                         f"window [{c.min_deg}, {c.max_deg}]:")
+            out.append(f"component {k} (degrees = {k} mod {args.n}), "
+                       f"window [{c.min_deg}, {c.max_deg}]:")
             for d, v in zip(c.degrees(), c.coeffs):
                 if v != 0:
-                    lines.append(f"  deg {d}: {_fmt_complex(v)}")
-        lines.append("re-verification: ok")
-        _emit(args, "\n".join(lines) + "\n")
+                    out.append(f"  deg {d}: {_fmt_complex(v)}")
+        out.append("re-verification: ok")
+    _emit(args, out)
     return 0
 
 
 # -- eval ----------------------------------------------------------------------
 
-def _eval_values(args, meta_out: dict) -> tuple[AlphaRoot, int, dict[str, complex]]:
-    """The root, the reduced s, and {"series": value} and/or {"closed": value}."""
+def _eval_values(args, ctx, a: AlphaRoot, s: int) -> dict[str, complex]:
+    """Component s at --z by each --method route: {"series": value} and/or {"closed": value}."""
     methods = ["series", "closed"] if args.method == "both" else [args.method]
-    ctx = make_context(args.n)
-    a = alpha_root(args.alpha, args.n, args.branch)
-    s = int(args.s) % args.n
-    out: dict[str, complex] = {}
-
     if args.input or args.builtin == "geometric":
         if args.input and "closed" in methods:
             raise ValueError("closed-form evaluation needs a builtin family")
-        series, meta = _load_series(args)
-        meta_out.update(meta)
-        for m in methods:
-            if m == "series":
-                out["series"] = laurent_component(series, ctx, a, s).evaluate(args.z)
-            else:
-                out["closed"] = g_eval(ctx, a, s, args.z)
-        return a, s, out
+        series = _load_series(args)
+        return {m: laurent_component(series, ctx, a, s).evaluate(args.z) if m == "series"
+                else g_eval(ctx, a, s, args.z) for m in methods}
 
     if args.builtin == "expq":
-        ps = PsiSequence.q_deformation(args.q)
-        fam = build_psi_hyperbolic(ps, ctx, a, args.trunc)
-        meta_out.update({"builtin": "expq", "q": _pair(args.q)})
+        fam = build_psi_hyperbolic(PsiSequence.q_deformation(args.q), ctx, a, args.trunc)
     else:
         fam = build_family(args.n, a, args.trunc)
-        meta_out["builtin"] = "exp"
-    for m in methods:
-        out[m] = h_eval(fam, s, args.z, m)
-    return a, s, out
+    return {m: h_eval(fam, s, args.z, m) for m in methods}
 
 
 def _cmd_eval(args) -> int:
-    meta: dict = {}
-    a, s, values = _eval_values(args, meta)
+    ctx = make_context(args.n)
+    a = alpha_root(args.alpha, args.n, args.branch)
+    s = int(args.s) % args.n
+    values = _eval_values(args, ctx, a, s)
+    diff = abs(values["series"] - values["closed"]) if len(values) == 2 else None
 
     if args.format == "json":
-        obj = dict(meta)
-        obj.update({
-            "n": args.n,
-            "alpha": _pair(a.alpha),
-            "branch": a.branch,
+        out = {
+            **_family_head(args, a, **_provenance(args)),
             "s": s,
             "z": _pair(args.z),
             "values": {k: _pair(v) for k, v in values.items()},
-        })
-        if len(values) == 2:
-            obj["difference"] = abs(values["series"] - values["closed"])
-        _emit(args, json.dumps(obj, indent=2) + "\n")
+        }
+        if diff is not None:
+            out["difference"] = diff
     elif args.format == "csv":
-        lines = ["method,s,n,z_re,z_im,value_re,value_im"]
+        out = ["method,s,n,z_re,z_im,value_re,value_im"]
         for k, v in values.items():
-            lines.append(f"{k},{s},{args.n},"
-                         f"{_fmt(args.z.real)},{_fmt(args.z.imag)},"
-                         f"{_fmt(v.real)},{_fmt(v.imag)}")
-        _emit(args, "\n".join(lines) + "\n")
+            out.append(f"{k},{s},{args.n},"
+                       f"{_fmt(args.z.real)},{_fmt(args.z.imag)},"
+                       f"{_fmt(v.real)},{_fmt(v.imag)}")
     else:
-        src = meta.get("builtin") or meta.get("input")
-        lines = [f"component {s} of {src}: {_family_text(args, a)} z={_fmt_complex(args.z)}"]
+        src, *_ = _provenance(args).values()
+        out = [f"component {s} of {src}: {_family_text(args, a)} z={_fmt_complex(args.z)}"]
         for k, v in values.items():
-            lines.append(f"{k}: {_fmt_complex(v)}")
-        if len(values) == 2:
-            lines.append(f"difference: {_fmt(abs(values['series'] - values['closed']))}")
-        _emit(args, "\n".join(lines) + "\n")
+            out.append(f"{k}: {_fmt_complex(v)}")
+        if diff is not None:
+            out.append(f"difference: {_fmt(diff)}")
+    _emit(args, out)
     return 0
 
 
@@ -262,19 +255,19 @@ def _cmd_verify(args) -> int:
                    for r in reports]
 
     if args.format == "json":
-        _emit(args, json.dumps(reports_to_json(reports), indent=2) + "\n")
+        out = reports_to_json(reports)
     elif args.format == "csv":
-        _emit(args, reports_to_csv(reports))
+        out = reports_to_csv(reports).splitlines()
     else:
-        lines = []
+        out = []
         for r in reports:
             mark = "PASS" if r.passed else "FAIL"
             rel = "<=" if r.expect == "le" else ">"
-            lines.append(f"[{mark}] {r.identity}: residual {_fmt(r.residual)} "
-                         f"(want {rel} {_fmt(r.tolerance)})")
+            out.append(f"[{mark}] {r.identity}: residual {_fmt(r.residual)} "
+                       f"(want {rel} {_fmt(r.tolerance)})")
         npass = sum(1 for r in reports if r.passed)
-        lines.append(f"{npass}/{len(reports)} checks passed")
-        _emit(args, "\n".join(lines) + "\n")
+        out.append(f"{npass}/{len(reports)} checks passed")
+    _emit(args, out)
     return 0 if all_pass(reports) else 1
 
 
@@ -291,7 +284,7 @@ def _det_components(args, ctx, a) -> list[complex]:
         return vals
     if args.z is None:
         raise ValueError("det needs --components, or --builtin or --input with --z")
-    base, _ = _load_series(args)
+    base = _load_series(args)
     return [laurent_component(base, ctx, a, k).evaluate(args.z)
             for k in range(ctx.n)]
 
@@ -307,10 +300,8 @@ def _cmd_det(args) -> int:
     ok = diff <= tol
 
     if args.format == "json":
-        obj = {
-            "n": args.n,
-            "alpha": _pair(a.alpha),
-            "branch": a.branch,
+        out = {
+            **_family_head(args, a),
             "components": [_pair(v) for v in vals],
             "det_spectral": _pair(spectral),
             "det_direct": _pair(direct),
@@ -318,24 +309,22 @@ def _cmd_det(args) -> int:
             "tolerance": tol,
             "pass": ok,
         }
-        _emit(args, json.dumps(obj, indent=2) + "\n")
     elif args.format == "csv":
-        lines = ["n,alpha_re,alpha_im,det_spectral_re,det_spectral_im,"
-                 "det_direct_re,det_direct_im,difference,pass"]
-        lines.append(f"{args.n},{_fmt(a.alpha.real)},{_fmt(a.alpha.imag)},"
-                     f"{_fmt(spectral.real)},{_fmt(spectral.imag)},"
-                     f"{_fmt(direct.real)},{_fmt(direct.imag)},"
-                     f"{_fmt(diff)},{'true' if ok else 'false'}")
-        _emit(args, "\n".join(lines) + "\n")
+        out = ["n,alpha_re,alpha_im,det_spectral_re,det_spectral_im,"
+               "det_direct_re,det_direct_im,difference,pass",
+               f"{args.n},{_fmt(a.alpha.real)},{_fmt(a.alpha.imag)},"
+               f"{_fmt(spectral.real)},{_fmt(spectral.imag)},"
+               f"{_fmt(direct.real)},{_fmt(direct.imag)},"
+               f"{_fmt(diff)},{'true' if ok else 'false'}"]
     else:
-        lines = [
+        out = [
             f"twisted circulant determinant: {_family_text(args, a)}",
             f"spectral: {_fmt_complex(spectral)}",
             f"direct:   {_fmt_complex(direct)}",
             f"difference: {_fmt(diff)} (tolerance {_fmt(tol)}) "
             f"{'PASS' if ok else 'FAIL'}",
         ]
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, out)
     return 0 if ok else 1
 
 

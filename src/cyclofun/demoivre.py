@@ -25,7 +25,6 @@ if TYPE_CHECKING:  # annotations only; functions import numpy where they use it
     import numpy as np
 
 __all__ = [
-    "generator_matrix",
     "demoivre_matrix",
     "circulant_from_components",
     "circulant_det_spectral",
@@ -51,16 +50,6 @@ def cheb_norm(m: np.ndarray) -> float:
     import numpy as np
 
     return float(np.max(np.abs(m)))
-
-
-def generator_matrix(n: int, alpha: complex) -> np.ndarray:
-    """Twisted cyclic shift: ones above the diagonal, alpha in the corner."""
-    import numpy as np
-
-    n = _order(n)
-    g = np.eye(n, k=1, dtype=complex)
-    g[n - 1, 0] = complex(alpha)
-    return g
 
 
 def circulant_from_components(components: Sequence[complex], alpha: complex) -> np.ndarray:

@@ -73,8 +73,13 @@ def q_number(q, k: int):
         except OverflowError:  # an int q's exact [m]_q past double range, or q**k
             value = math.nan
         return value if value == value else -q_number(1 / q, -k) / q
+    return _q_table(q, k)[k]
+
+
+def _q_table(q, k: int) -> tuple:
+    """The q-number table that holds [k]_q: degrees 0..PSI_CAP, else 0..2**j - 1."""
     top = PSI_CAP if k <= PSI_CAP else 2 ** k.bit_length() - 1
-    return _q_numbers(type(q), q, top)[k]
+    return _q_numbers(type(q), q, top)
 
 
 @lru_cache(maxsize=64)
@@ -185,6 +190,8 @@ class PsiSequence:
         """Deformed binomial via a falling product, dodging inf/inf.
 
         The product runs over min(k, n - k) factors; k = 0 and k = n give exactly 1.
+        Where that product overflows, the binomial is taken as the product of the
+        ratios [n - k + i] / [i], which for real q > 1 never exceeds the binomial.
         """
         n, k = int(n), int(k)
         if k < 0 or k > n:
@@ -192,7 +199,11 @@ class PsiSequence:
         if k == 0 or k == n:
             return 1.0
         k = min(k, n - k)
-        return math.prod(self._numbers[n - k + 1:self._index(n) + 1]) / self._fact[k]
+        nums = self._numbers
+        value = math.prod(nums[n - k + 1:self._index(n) + 1]) / self._fact[k]
+        if cmath.isfinite(value):
+            return value
+        return math.prod(nums[n - k + i] / nums[i] for i in range(1, k + 1))
 
 
 # -- deformed derivatives -------------------------------------------------------
@@ -279,7 +290,7 @@ def q_laguerre(n: int, q) -> TruncatedSeries:
         raise ValueError("the sequence index must be nonnegative")
     if n == 0:
         return Polynomial([1])
-    nums = _q_numbers(type(q), q, max(n, PSI_CAP))
+    nums = _q_table(q, n)
     return Polynomial([0j] + [(-1) ** k * math.comb(n - 1, k - 1)
                               * math.prod(nums[k + 1:n + 1]) for k in range(1, n + 1)])
 

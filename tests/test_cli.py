@@ -605,6 +605,53 @@ def test_builtin_with_input_exits_2_in_process_as_in_a_subprocess(tmp_path, caps
     assert err.endswith("error: argument --input: not allowed with argument --builtin\n")
 
 
+# The JSON head of decompose, eval and det: the source's provenance (det names
+# none), then the family, then the command's own keys.
+HEAD_COMMANDS = {
+    "decompose": ([], "decomposition of {src}: n=3 alpha=-1 branch=0 "
+                  "root=0.50000000000000011+0.8660254037844386i",
+                  ["root", "components", "verified"]),
+    "eval": (["--s", "1", "--z", "0.5", "--method", "both"],
+             "component 1 of {src}: n=3 alpha=-1 branch=0 z=0.5",
+             ["s", "z", "values", "difference"]),
+    "det": (["--z", "0.5"], "twisted circulant determinant: n=3 alpha=-1 branch=0",
+            ["components", "det_spectral", "det_direct", "difference", "tolerance", "pass"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HEAD_COMMANDS))
+@pytest.mark.parametrize("source", ["exp", "geometric", "expq", "input"])
+def test_json_and_text_heads_name_the_source_then_the_family(tmp_path, capsys, command,
+                                                              source):
+    own_options, first_line, own_keys = HEAD_COMMANDS[command]
+    if source == "input":
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"min_deg": 0, "coeffs": [[1, 0], [0.5, -0.25], [2, 1]]}))
+        src, argv, provenance = str(path), ["--input", str(path)], {"input": str(path)}
+        if command == "eval":
+            # The closed route needs a builtin family, so a file takes the series route.
+            own_options = own_options[:-1] + ["series"]
+            own_keys = own_keys[:-1]
+    else:
+        src, argv, provenance = source, ["--builtin", source], {"builtin": source}
+        if source == "expq":
+            provenance["q"] = [0.5, 0.0]
+    if command == "det":
+        provenance = {}
+    family = ["--n", "3", "--alpha=-1", *own_options, *argv]
+
+    code, out, err = run_cli(capsys, command, *family, "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert list(obj) == [*provenance, "n", "alpha", "branch", *own_keys]
+    assert {k: obj[k] for k in provenance} == provenance
+    assert (obj["n"], obj["alpha"], obj["branch"]) == (3, [-1.0, 0.0], 0)
+
+    code, out, err = run_cli(capsys, command, *family)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first_line.format(src=src)
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "circulant",

@@ -21,7 +21,6 @@ from cyclofun.demoivre import (
     circulant_group_law_residual,
     demoivre_matrix,
     demoivre_sweep,
-    generator_matrix,
     identity_suite,
     sylvester_matrix,
 )
@@ -36,21 +35,35 @@ from cyclofun.reports import (
 from cyclofun.series import series_exp, series_geometric
 
 
+def _gamma(n, alpha):
+    """The twisted cyclic shift gamma: ones above the diagonal, alpha in the corner."""
+    g = np.eye(n, k=1, dtype=complex)
+    g[n - 1, 0] = alpha
+    return g
+
+
 def test_generator_layout():
-    g = generator_matrix(2, 5)
+    g = _gamma(2, 5)
     assert g.tolist() == [[0, 1], [5, 0]]
-    g3 = generator_matrix(3, -1j)
+    g3 = _gamma(3, -1j)
     assert g3[0, 1] == 1 and g3[1, 2] == 1 and g3[2, 0] == -1j
     assert g3[0, 0] == 0 and np.trace(g3) == 0
-    with pytest.raises(ValueError):
-        generator_matrix(1, 1)
+
+
+def test_generator_is_the_circulant_of_the_first_unit_vector():
+    # gamma is the twisted circulant whose only nonzero component is c_1 = 1.
+    for n in (2, 3, 8):
+        for alpha in (1, -1, 5, -1j, 0.3 - 0.2j):
+            e1 = [0j] * n
+            e1[1] = 1
+            assert np.array_equal(circulant_from_components(e1, alpha), _gamma(n, alpha))
 
 
 def test_generator_power_returns_weight_times_identity():
     rng = random.Random(11)
     for n in range(2, 9):
         alpha = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        g = generator_matrix(n, alpha)
+        g = _gamma(n, alpha)
         got = np.linalg.matrix_power(g, n)
         assert cheb_norm(got - alpha * np.eye(n)) <= 1e-13
 
@@ -83,7 +96,7 @@ def test_assembled_and_taylor_routes_agree():
 def _dense_taylor(n, alpha, z):
     """The matrix Taylor sum with a dense product per term, the reference for
     the column-shift step."""
-    g = generator_matrix(n, alpha) * z
+    g = _gamma(n, alpha) * z
     total = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
     rho = max(1.0, abs(alpha)) * abs(z)
@@ -158,7 +171,7 @@ def test_both_routes_match_scipy_expm():
         for alpha in (1, -1, 2 + 1j, 1.5 * cmath.exp(0.9j), 1e-3):
             a = alpha_root(alpha, n)
             for z in (0.9 * cmath.exp(0.7j), -0.6 + 0.2j, 1.0):
-                want = linalg.expm(generator_matrix(n, alpha) * z)
+                want = linalg.expm(_gamma(n, alpha) * z)
                 scale = max(1.0, cheb_norm(want))
                 for route in ("assembled", "taylor"):
                     got = demoivre_matrix(n, a, z, route)
@@ -170,14 +183,14 @@ def test_assembled_route_matches_expm_beyond_the_series_disk():
     # 4, so the assembled circulant holds far outside it.
     linalg = pytest.importorskip("scipy.linalg")
     for n, alpha, z in ((2, -1, 10), (2, -1, 20), (2, -1, 30), (2, 1, 30), (8, -1, 25j)):
-        want = linalg.expm(generator_matrix(n, alpha) * z)
+        want = linalg.expm(_gamma(n, alpha) * z)
         got = demoivre_matrix(n, alpha_root(alpha, n), z, "assembled")
         assert cheb_norm(got - want) <= 1e-13 * cheb_norm(want), (n, alpha, z)
 
 
 def test_matrix_satisfies_the_shift_ode():
     n, a = 3, alpha_root(1, 3)
-    g = generator_matrix(3, 1)
+    g = _gamma(3, 1)
     z, h = 0.4, 1e-5
     lhs = (demoivre_matrix(n, a, z + h) - demoivre_matrix(n, a, z - h)) / (2 * h)
     rhs = g @ demoivre_matrix(n, a, z)
@@ -239,7 +252,7 @@ def test_circulant_equals_generator_polynomial():
     n = 4
     alpha = 0.3 - 0.2j
     vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-    g = generator_matrix(n, alpha)
+    g = _gamma(n, alpha)
     direct = circulant_from_components(vals, alpha)
     summed = sum(vals[k] * np.linalg.matrix_power(g, k) for k in range(n))
     assert cheb_norm(direct - summed) <= 1e-13
@@ -318,7 +331,7 @@ def test_sylvester_is_unitary_and_diagonalizes_the_shift():
         ctx = make_context(n)
         s = sylvester_matrix(ctx)
         assert cheb_norm(s @ s.conj().T - np.eye(n)) <= 1e-12
-        g = generator_matrix(n, 1)
+        g = _gamma(n, 1)
         d = s.conj().T @ g @ s
         want = np.diag([ctx.omega_pow[l] for l in range(n)])
         assert cheb_norm(d - want) <= 1e-11

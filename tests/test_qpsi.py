@@ -117,26 +117,33 @@ def test_deformed_binomial_values():
     assert PsiSequence.classical().factorial(5) == 120
 
 
-def _gaussian_binomial(n, k, q):
-    """[n choose k]_q as an exact integer, for an integer q >= 2."""
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
+def _gaussian_binomial_rows(nmax, q):
+    """Rows n = 0..nmax of [n choose k]_q as exact integers, for an integer q >= 2.
+
+    Built by the q-Pascal rule [n choose k] = [n-1 choose k-1] + q**k [n-1 choose k].
+    """
+    row = [1]
+    for _ in range(nmax + 1):
+        yield row
+        row = [1] + [row[k - 1] + q ** k * row[k] for k in range(1, len(row))] + [1]
 
 
 def test_deformed_binomial_matches_exact_gaussian_binomials():
     # The falling product runs over min(k, n - k) factors, so [45 choose 41]_2,
     # about 7.6e49, no longer passes through 2**1025 before the division.
+    # Nearer the overflow edge ([52 choose 26]_2 is the first) that product
+    # still overflows, and the binomial falls back to a product of ratios:
+    # every binomial below the largest double must come back finite.
     ps = PsiSequence.q_deformation(2)
     assert ps.binomial(45, 41) == ps.binomial(45, 4)
     assert abs(ps.binomial(45, 41) / 7.6e49 - 1) < 1e-3
-    for n in range(PSI_CAP + 1):
-        for k in range(n + 1):
+    assert math.isfinite(ps.binomial(52, 26))
+    largest = int(sys.float_info.max)
+    for n, row in enumerate(_gaussian_binomial_rows(PSI_CAP, 2)):
+        for k, want in enumerate(row):
             got = ps.binomial(n, k)
-            if math.isfinite(got):
-                want = _gaussian_binomial(n, k, 2)
+            if want <= largest:
+                assert math.isfinite(got), (n, k)
                 assert abs(int(got) - want) * 10 ** 12 <= want, (n, k)
 
 
@@ -486,6 +493,18 @@ def test_lowering_operator_refuses_a_laurent_window():
     for q in (0.5, 2.0):
         with pytest.raises(ValueError, match="polynomials only"):
             lowering_operator_apply(make_series([(-1, 1), (2, 1)]), q)
+
+
+def test_laguerre_past_the_cap_reads_the_q_number_tables():
+    # q_laguerre takes its q-numbers from q_number's tables (top PSI_CAP, else
+    # 2**j - 1), so degrees 300 and 301 share one table.  The q is one no
+    # other test uses, so its tables start unbuilt.
+    q = 0.3125
+    misses = qpsi_module._q_numbers.cache_info().misses
+    first, second = q_laguerre(300, q), q_laguerre(301, q)
+    assert qpsi_module._q_numbers.cache_info().misses == misses + 1
+    assert second.coeff(301) == -1
+    assert first.coeff(1) == -math.prod(q_number(q, k) for k in range(2, 301))
 
 
 def test_laguerre_continuous_at_unit_deformation():
