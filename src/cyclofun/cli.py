@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 a verification failed, 2 usage or input errors,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -69,7 +68,11 @@ def _fmt_complex(c: complex) -> str:
 
 def _emit(args, out) -> None:
     """Write out by --format: a JSON value with indent 2, else lines; then one newline."""
-    text = (json.dumps(out, indent=2) if args.format == "json" else "\n".join(out)) + "\n"
+    if args.format == "json":
+        import json  # deferred, like numpy: only --format json and --input load it
+
+        out = [json.dumps(out, indent=2)]
+    text = "\n".join(out) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -102,6 +105,8 @@ def _effective_tolerance(args, fallback: float | None = None) -> float | None:
 def _load_series(args) -> TruncatedSeries:
     """The series named by --input or --builtin (exp if neither)."""
     if args.input:
+        import json
+
         with open(args.input) as fh:
             try:
                 obj = json.load(fh)
@@ -111,8 +116,15 @@ def _load_series(args) -> TruncatedSeries:
     if args.builtin == "geometric":
         return series_geometric(args.trunc)
     if args.builtin == "expq":
-        return series_exp_psi(PsiSequence.q_deformation(args.q), args.trunc)
+        return series_exp_psi(_q_deformation(args), args.trunc)
     return series_exp(args.trunc)
+
+
+def _q_deformation(args) -> PsiSequence:
+    """The expq source's --q sequence, refusing q = 1 with the command that names it."""
+    if args.q == 1:
+        raise ValueError("q = 1 collapses expq to the classical exponential; use --builtin exp")
+    return PsiSequence.q_deformation(args.q)
 
 
 def _provenance(args) -> dict:
@@ -198,7 +210,7 @@ def _eval_values(args, ctx, a: AlphaRoot, s: int) -> dict[str, complex]:
                 else g_eval(ctx, a, s, args.z) for m in methods}
 
     if args.builtin == "expq":
-        fam = build_psi_hyperbolic(PsiSequence.q_deformation(args.q), ctx, a, args.trunc)
+        fam = build_psi_hyperbolic(_q_deformation(args), ctx, a, args.trunc)
     else:
         fam = build_family(args.n, a, args.trunc)
     return {m: h_eval(fam, s, args.z, m) for m in methods}
@@ -242,6 +254,9 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     a = alpha_root(args.alpha, args.n, args.branch)
     tol = _effective_tolerance(args)
+    if args.q == 1 and args.suite in ("qpsi", "all"):
+        raise ValueError("q = 1 collapses the qpsi suite to the classical calculus; "
+                         "give a --q other than 1")
     reports = []
     if args.suite in ("demoivre", "all"):
         reports.extend(demoivre_sweep(args.n, a, SWEEP_DRAWS, args.seed, args.trunc))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .series import TruncatedSeries, _checked, _Coeffs, _finite, _ipow, _scaled_radius
 
@@ -61,14 +61,10 @@ def make_context(n: int) -> CyclicContext:
     return CyclicContext(n)
 
 
-@dataclass(frozen=True)
-class AlphaRoot:
+class AlphaRoot(namedtuple("AlphaRoot", "alpha root n branch", defaults=(0,))):
     """A chosen n-th root of alpha: principal root times omega**branch."""
 
-    alpha: complex
-    root: complex
-    n: int
-    branch: int = 0
+    __slots__ = ()
 
 
 def alpha_root(alpha: complex, n: int, branch: int = 0) -> AlphaRoot:

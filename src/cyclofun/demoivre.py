@@ -12,17 +12,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .cyclic import (AlphaRoot, CyclicContext, _check_root, _order, alpha_root, make_context,
                      project_series)
 from .hyperbolic import HyperbolicFamily, _closed_components, build_family, h_eval
 from .reports import IdentityReport, relative_residual
 from .series import DEFAULT_TRUNCATION, TruncatedSeries, series_exp, series_geometric
-
-if TYPE_CHECKING:  # annotations only; functions import numpy where they use it
-    import numpy as np
 
 __all__ = [
     "demoivre_matrix",
@@ -358,5 +354,6 @@ def demoivre_sweep(n: int, a: AlphaRoot, draws: int, seed: int,
     for reps in zip(*runs):
         pick = min if reps[0].expect == "gt" else max
         rep = pick(reps, key=lambda r: r.residual)
-        out.append(replace(rep, params=dict(params)))
+        out.append(IdentityReport(rep.identity, dict(params), rep.residual, rep.tolerance,
+                                  rep.expect))
     return out

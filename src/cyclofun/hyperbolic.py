@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable
 
 from .cyclic import AlphaRoot, CyclicContext, _check_root, make_context, project_series
 from .series import (DEFAULT_TRUNCATION, GEOMETRIC_MAX_ABS_ARG, DomainError,
                      TruncatedSeries, series_exp)
-
-if TYPE_CHECKING:  # annotations only; functions import numpy where they use it
-    import numpy as np
 
 __all__ = [
     "HyperbolicFamily",
@@ -30,7 +26,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class HyperbolicFamily:
     """The n component series plus the data needed for closed-form evaluation.
 
@@ -40,15 +35,14 @@ class HyperbolicFamily:
     evaluate) to one argument at a time.
     """
 
-    ctx: CyclicContext
-    root: AlphaRoot
-    components: tuple[TruncatedSeries, ...]
-    base: Callable[[complex], complex] = field(compare=False)
-    # Closed-route rows by point, {z: [h_s(z), or the float rounding bound that
-    # refuses it, for each s]} or {z: the point's OverflowError}: one batch's
-    # rows, settled in full and swapped in by one assignment, so a shared family
-    # never pairs a point with another point's values.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, ctx: CyclicContext, root: AlphaRoot,
+                 components: tuple[TruncatedSeries, ...], base: Callable[[complex], complex]):
+        self.ctx, self.root, self.components, self.base = ctx, root, components, base
+        # Closed-route rows by point, {z: [h_s(z), or the float rounding bound that
+        # refuses it, for each s]} or {z: the point's OverflowError}: one batch's
+        # rows, settled in full and swapped in by one assignment, so a shared family
+        # never pairs a point with another point's values.
+        self._memo = {}
 
     @cached_property
     def _kernel(self) -> tuple[np.ndarray, np.ndarray, list[float]] | None:
@@ -143,7 +137,7 @@ def _closed_components(fam: HyperbolicFamily, zs: list[complex]) -> dict:
         else:
             where = "" if np.isfinite(args[i]).all() else f": |r z| = {abs(fam.root.root * z):.6g}"
             memo[z] = OverflowError(f"closed form overflows at z = {z}{where}")
-    object.__setattr__(fam, "_memo", memo)
+    fam._memo = memo
     return memo
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
-from typing import Callable, Sequence
 
 from .cyclic import AlphaRoot, CyclicContext, alpha_root, make_context
 from .hyperbolic import HyperbolicFamily, laurent_component

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import cmath
-import csv
 import io
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from collections.abc import Iterable
 
 from .series import _pair
 
@@ -35,7 +33,6 @@ def relative_residual(value: complex, ref: complex) -> float:
     return abs(value - ref) / max(1.0, abs(ref))
 
 
-@dataclass(frozen=True)
 class IdentityReport:
     """One numerical check: residual against tolerance.
 
@@ -44,15 +41,18 @@ class IdentityReport:
     (an identity known to break), and passes when residual > tolerance.
     """
 
-    identity: str
-    params: dict = field(default_factory=dict)
-    residual: float = 0.0
-    tolerance: float = 0.0
-    expect: str = "le"
+    __slots__ = ("identity", "params", "residual", "tolerance", "expect")
 
-    def __post_init__(self):
-        if self.expect not in ("le", "gt"):
-            raise ValueError(f"expect must be 'le' or 'gt', got {self.expect!r}")
+    def __init__(self, identity: str, params: dict | None = None, residual: float = 0.0,
+                 tolerance: float = 0.0, expect: str = "le"):
+        if expect not in ("le", "gt"):
+            raise ValueError(f"expect must be 'le' or 'gt', got {expect!r}")
+        self.identity, self.params = identity, {} if params is None else params
+        self.residual, self.tolerance, self.expect = residual, tolerance, expect
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityReport({fields})"
 
     @property
     def passed(self) -> bool:
@@ -60,8 +60,8 @@ class IdentityReport:
             return self.residual <= self.tolerance
         return self.residual > self.tolerance
 
-    def with_tolerance(self, tol: float) -> "IdentityReport":
-        return replace(self, tolerance=float(tol))
+    def with_tolerance(self, tol: float) -> IdentityReport:
+        return IdentityReport(self.identity, self.params, self.residual, float(tol), self.expect)
 
     def to_dict(self) -> dict:
         return {
@@ -84,6 +84,8 @@ def reports_to_json(reports: Iterable[IdentityReport]) -> list[dict]:
 
 def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
     """Delimited view with the fixed column set used by the CLI."""
+    import csv  # deferred: only --format csv writes one
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["identity", "n", "alpha_re", "alpha_im", "residual", "pass"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 __all__ = [
     "DomainError",

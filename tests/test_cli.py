@@ -426,6 +426,23 @@ def test_verify_qpsi_refuses_a_truncation_that_empties_the_ladder(capsys):
     assert code == 0 and out.endswith("13/13 checks passed\n")
 
 
+def test_q_one_is_refused_with_a_command_line_remedy(capsys):
+    for argv, remedy in (
+            (["eval", "--builtin", "expq", "--q", "1", "--z", "0.3"], "use --builtin exp"),
+            (["eval", "--builtin", "expq", "--q", "1,0", "--z", "0.3", "--method", "closed"],
+             "use --builtin exp"),
+            (["decompose", "--builtin", "expq", "--q", "1+0i"], "use --builtin exp"),
+            (["verify", "--suite", "qpsi", "--q", "1"], "give a --q other than 1"),
+            (["verify", "--q", "1"], "give a --q other than 1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: q = 1 collapses") and err.endswith(f"; {remedy}\n"), argv
+        assert "PsiSequence" not in err, argv
+    # Only the qpsi battery deforms the calculus; the others run at q = 1.
+    code, out, _ = run_cli(capsys, "verify", "--suite", "circulant", "--q", "1")
+    assert code == 0 and "FAIL" not in out
+
+
 def test_verify_qpsi_pulls_the_generating_function_point_into_the_disk(capsys):
     # At q = -0.5 the psi-exponential's component has radius 0.6, so the point
     # x z = 0.8 * 0.9 is pulled in to |x z| = 0.3: z = 0.375, named in its params.

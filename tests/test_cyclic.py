@@ -10,6 +10,7 @@ import mpmath
 import pytest
 
 from cyclofun.cyclic import (
+    AlphaRoot,
     _class_weight,
     alpha_root,
     make_context,
@@ -541,3 +542,17 @@ def test_operations_on_a_sieved_component_are_dense():
             assert got._stride == (1, 0), name
             for z in (0.3 + 0.1j, -0.2, 0.25j):
                 assert got.evaluate(z) == want.evaluate(z), (name, z)
+
+
+def test_alpha_root_is_an_immutable_hashable_value():
+    a, b = alpha_root(2 + 1j, 4), alpha_root(2 + 1j, 4)
+    assert a.branch == 0 and AlphaRoot(a.alpha, a.root, 4).branch == 0
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != alpha_root(2 + 1j, 4, branch=1)
+    with pytest.raises(AttributeError):
+        a.root = 1j
+    with pytest.raises(AttributeError):
+        a.extra = 0
+    assert repr(AlphaRoot(1 + 0j, 1 + 0j, 2)) == "AlphaRoot(alpha=(1+0j), root=(1+0j), n=2, branch=0)"
+    assert repr(alpha_root(4, 2)) == "AlphaRoot(alpha=(4+0j), root=(2+0j), n=2, branch=0)"
+

@@ -1,6 +1,7 @@
 """Matrix exponentials of the cyclic generator and twisted circulants."""
 
 import cmath
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -537,3 +538,21 @@ def test_report_serialization_shapes():
     assert lines[1].startswith("check,2,1,0,")
     with pytest.raises(ValueError):
         IdentityReport("x", {}, 0.0, 0.0, "maybe")
+
+
+def test_identity_report_keeps_the_dataclass_repr_and_validation():
+    Dataclass = dataclasses.make_dataclass("IdentityReport", [
+        ("identity", str), ("params", dict), ("residual", float), ("tolerance", float),
+        ("expect", str)])
+    fields = ("check", {"n": 2, "alpha": 1 + 0j}, 1e-12, 1e-10, "gt")
+    rep = IdentityReport(*fields)
+    assert repr(rep) == repr(Dataclass(*fields))
+    assert repr(IdentityReport("bare")) == repr(Dataclass("bare", {}, 0.0, 0.0, "le"))
+    assert IdentityReport("a").params is not IdentityReport("b").params
+    with pytest.raises(ValueError, match="expect must be 'le' or 'gt', got 'maybe'"):
+        IdentityReport("x", {}, 0.0, 0.0, "maybe")
+    loose = rep.with_tolerance(1)
+    assert loose is not rep and repr(rep) == repr(Dataclass(*fields))
+    assert repr(loose) == repr(Dataclass(*fields[:3], 1.0, "gt"))
+    assert not rep.passed and rep.with_tolerance(0.0).passed
+

@@ -442,3 +442,24 @@ def test_family_cache_returns_same_object():
     a = build_family(2, alpha_root(1, 2), 32)
     b = build_family(2, alpha_root(1, 2), 32)
     assert a is b
+
+
+def test_build_family_hits_its_cache_for_an_equal_root():
+    fam = build_family(5, alpha_root(3 - 2j, 5), 24)
+    hits = build_family.cache_info().hits
+    assert build_family(5, alpha_root(3 - 2j, 5), 24) is fam
+    assert build_family.cache_info().hits == hits + 1
+
+
+def test_a_family_built_by_hand_positionally_or_by_keyword():
+    ref = build_family(3, alpha_root(2, 3))
+    z = 0.5 - 0.25j
+    for fam in (HyperbolicFamily(ref.ctx, ref.root, ref.components, cmath.exp),
+                HyperbolicFamily(ref.ctx, ref.root, ref.components, base=cmath.exp)):
+        assert (fam.ctx, fam.root, fam.components, fam.base) == (
+            ref.ctx, ref.root, ref.components, cmath.exp)
+        assert fam._memo == {}
+        for s in range(3):
+            assert h_eval(fam, s, z, "closed") == h_eval(ref, s, z, "closed")
+        assert list(fam._memo) == [z]
+

@@ -1,5 +1,5 @@
-"""Start-up: the package imports without numpy, and commands that only sieve
-coefficients run without it."""
+"""Start-up: the package imports without numpy, dataclasses, inspect, json
+or csv, and commands that only sieve coefficients run without numpy."""
 
 import contextlib
 import io
@@ -22,6 +22,23 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
+"""
+
+# Runs --help, a text decompose and a series eval through cli.main, then prints
+# the top-level modules they added to sys.modules; then runs one --format json
+# eval and prints whether json is loaded.
+ADDED_CHILD = """
+import contextlib, io, sys
+before = set(sys.modules)
+from cyclofun.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["--help"], ["decompose", "--n", "2", "--trunc", "8"],
+                 ["eval", "--builtin", "exp", "--n", "3", "--z", "0.5"]):
+        main(argv)
+print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["eval", "--builtin", "exp", "--n", "3", "--z", "0.5", "--format", "json"])
+print("json" in sys.modules)
 """
 
 
@@ -61,6 +78,17 @@ def test_import_loads_no_numpy():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_commands_that_read_no_file_and_write_text_load_only_what_they_run():
+    proc = subprocess.run([sys.executable, "-c", ADDED_CHILD],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added, json_loaded = proc.stdout.splitlines()
+    assert "cyclofun" in added.split()
+    assert not set(added.split()) & {"numpy", "dataclasses", "inspect", "json", "csv"}, added
+    # The import was deferred, not lost: --format json loads it.
+    assert json_loaded == "True"
 
 
 def test_sieve_commands_run_byte_identical_without_numpy(tmp_path):
