@@ -44,6 +44,11 @@ def _commands() -> list[list[str]]:
              for q in ("0.5", "2", "3", "0.3+0.4i", "-0.5", "-1e10", "1e3")]
     # The shortest ladder window (trunc 8) and the psi-sequence cap (trunc 256).
     cmds += [["verify", "--suite", "qpsi", "--trunc", trunc] for trunc in ("8", "256")]
+    # Every ladder residual in full: q past 1 on both sides, and the shortest odd window.
+    cmds += [["verify", "--suite", "qpsi", "--format", "json", *arg]
+             for arg in (["--q=1.5"], ["--q=-2"], ["--trunc", "9"])]
+    # Exit 4: twice a component 0 entry overflows, named at degree 76 before any ladder step.
+    cmds.append(["verify", "--suite", "qpsi", "--q=-0.9999999989687168", "--trunc", "77"])
     for builtin in BUILTINS:
         for fmt in FORMATS:
             common = ["--builtin", builtin, "--format", fmt]

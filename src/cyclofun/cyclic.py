@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 
-from .series import TruncatedSeries, _checked, _Coeffs, _finite, _ipow, _scaled_radius
+from .series import TruncatedSeries, _checked, _finite, _ipow, _scaled_radius
 
 __all__ = [
     "CyclicContext",
@@ -119,7 +119,8 @@ def project_series(s: TruncatedSeries, ctx: CyclicContext, k: int,
     out[first::n] = sieved
     radius = _scaled_radius(s.radius, a.root, kept, sieved) if alpha else math.inf
     # Only the sieved entries are new; the rest of the window is zeros.
-    return TruncatedSeries(s.min_deg, _Coeffs(out), label=s.label, radius=radius, _stride=(n, k))
+    return TruncatedSeries(s.min_deg, out, label=s.label, radius=radius, _stride=(n, k),
+                           _computed=True)
 
 
 def project_pointwise(f: Callable[[complex], complex], ctx: CyclicContext,

@@ -27,7 +27,10 @@ from .series import (
     TruncatedSeries,
     _check_truncation,
     _checked,
+    _finite,
     _ipow,
+    _lower_run,
+    _run_residual,
     _termwise_lower,
     _weighted_sum,
     coeff_residual,
@@ -426,6 +429,7 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
         "q_exp_fixed_point", {"q": complex(qv), "trunc": trunc},
         coeff_residual(jackson_derivative(eq, qv), eq, 0, trunc - 1), 1e-11))
 
+    number = ps._numbers.__getitem__  # [d]_q, as q_number(qv, d) reads it for d <= PSI_CAP
     for n in (2, 3, 4):
         ctx = make_context(n)
         worst = 0.0
@@ -434,14 +438,17 @@ def qpsi_checks(q=0.5, seed: int = 0, trunc: int = DEFAULT_TRUNCATION) -> list[I
             comps = [laurent_component(eq, ctx, a, l) for l in range(n)]
             if (n, alpha) == (3, 1):
                 a3, comps3 = a, comps  # the generating function reads component 1
-            # Past component 0 the ladder wraps round and picks up a factor alpha.
-            wrapped = [c * complex(alpha) for c in comps]
+            # Component l is zero off its run of degrees l mod n; wrapping past 0 picks up alpha.
+            runs = [c.coeffs[l::n] for l, c in enumerate(comps)]
+            wrapped = [_finite([c * complex(alpha) for c in r], l, n) for l, r in enumerate(runs)]
             for l in range(n):
-                cur = comps[l]
+                cur = runs[l]
                 for k in range(1, n + 1):
-                    cur = jackson_derivative(cur, qv)
-                    target = (comps if k <= l else wrapped)[(l - k) % n]
-                    worst = max(worst, coeff_residual(cur, target, 0, trunc - k - n))
+                    j = (l - k) % n  # cur starts at degree j + 1 mod n; a start at 0 dies
+                    cur = _lower_run(cur[1:] if j == n - 1 else cur, j + 1, n, number)
+                    # The window [0, trunc - k - n] holds all of cur but its top degree.
+                    target = (runs if k <= l else wrapped)[j]
+                    worst = max(worst, _run_residual(cur[:-1], target))
         reports.append(IdentityReport(
             f"derivative_ladder_n{n}",
             {"q": complex(qv), "n": n, "alphas": [1, -1, 2], "trunc": trunc},

@@ -39,24 +39,16 @@ class DomainError(ValueError):
     computed coefficient overflows."""
 
 
-class _Coeffs(tuple):
-    """Finite complex coefficients, already checked: the constructor takes
-    them as they are."""
-
-    __slots__ = ()
-
-
-def _finite(values, min_deg: int, step: int = 1) -> _Coeffs:
-    """Computed complex coefficients, checked for finiteness only.
+def _finite(values: Sequence[complex], min_deg: int, step: int = 1) -> Sequence[complex]:
+    """Computed complex coefficients, checked for finiteness only, and returned.
 
     Entry i sits at degree min_deg + i * step.  A computed value that is not
     finite is an overflow, so it raises DomainError naming its degree.
     """
-    cs = _Coeffs(values)
-    if not all(map(cmath.isfinite, cs)):
-        i, bad = next((i, c) for i, c in enumerate(cs) if not cmath.isfinite(c))
+    if not all(map(cmath.isfinite, values)):
+        i, bad = next((i, c) for i, c in enumerate(values) if not cmath.isfinite(c))
         raise DomainError(f"coefficient of degree {min_deg + i * step} is not finite ({bad!r})")
-    return cs
+    return values
 
 
 def _checked(value, what: str) -> complex:
@@ -115,19 +107,20 @@ class TruncatedSeries:
     """Finite window of Laurent coefficients a_k for k in [min_deg, max_deg].
 
     Evaluation is restricted to the closed disk |z| <= radius.  Input
-    coefficients are converted to complex and checked once, here; the
-    operations pass their results in as already checked.  The internal stride
+    coefficients are converted to complex and checked once, here; the operations
+    pass their results in as already checked, with _computed.  The internal stride
     (n, k) of a sieve says every nonzero degree is k mod n; all else has (1, 0).
     """
 
     __slots__ = ("min_deg", "max_deg", "coeffs", "label", "radius", "_stride")
 
     def __init__(self, min_deg: int, coeffs: Sequence[complex], label: str | None = None,
-                 radius: float = ENTIRE_MAX_ABS_ARG, *, _stride: tuple[int, int] = (1, 0)):
-        if isinstance(coeffs, _Coeffs):
-            cs = coeffs
+                 radius: float = ENTIRE_MAX_ABS_ARG, *, _stride: tuple[int, int] = (1, 0),
+                 _computed: bool = False):
+        if _computed:
+            cs = tuple(coeffs)  # a tuple is itself, a list is copied once
         else:
-            cs = _Coeffs(map(complex, coeffs))
+            cs = tuple(map(complex, coeffs))
             if not all(map(cmath.isfinite, cs)):
                 bad = next(c for c in cs if not cmath.isfinite(c))
                 raise ValueError(f"coefficient must be finite, got {bad!r}")
@@ -213,14 +206,16 @@ class TruncatedSeries:
         scaled = _finite([c * _ipow(lam, d) if c else c
                           for d, c in zip(self.degrees(), self.coeffs)], self.min_deg)
         radius = _scaled_radius(self.radius, lam, self.coeffs, scaled) if lam else self.radius
-        return TruncatedSeries(self.min_deg, scaled, label=self.label, radius=radius)
+        return TruncatedSeries(self.min_deg, scaled, label=self.label, radius=radius,
+                               _computed=True)
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise d/dz; the degree-0 term dies, all others shift down."""
         return _termwise_lower(self, complex)
 
     def with_label(self, label: str | None) -> "TruncatedSeries":
-        return TruncatedSeries(self.min_deg, self.coeffs, label, self.radius, _stride=self._stride)
+        return TruncatedSeries(self.min_deg, self.coeffs, label, self.radius,
+                               _stride=self._stride, _computed=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -239,14 +234,14 @@ class TruncatedSeries:
         a, b = _aligned(self, o)
         lo = min(self.min_deg, o.min_deg)
         return TruncatedSeries(lo, _finite([x + y for x, y in zip(a, b)], lo),
-                               radius=min(self.radius, o.radius))
+                               radius=min(self.radius, o.radius), _computed=True)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
         # The negative of a finite value is finite.
-        return TruncatedSeries(self.min_deg, _Coeffs([-c for c in self.coeffs]),
-                               label=self.label, radius=self.radius)
+        return TruncatedSeries(self.min_deg, [-c for c in self.coeffs],
+                               label=self.label, radius=self.radius, _computed=True)
 
     def __sub__(self, other) -> "TruncatedSeries":
         o = self._coerce(other)
@@ -265,7 +260,7 @@ class TruncatedSeries:
             w = _checked(other, "scalar")
             return TruncatedSeries(self.min_deg, _finite([c * w for c in self.coeffs],
                                                          self.min_deg),
-                                   label=self.label, radius=self.radius)
+                                   label=self.label, radius=self.radius, _computed=True)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         lo = self.min_deg + other.min_deg
@@ -276,7 +271,8 @@ class TruncatedSeries:
 
         # Full convolution, then cut at the cap: entry d - lo is degree d.
         out = np.convolve(self.coeffs, other.coeffs)[:hi - lo + 1].tolist()
-        return TruncatedSeries(lo, _finite(out, lo), radius=min(self.radius, other.radius))
+        return TruncatedSeries(lo, _finite(out, lo), radius=min(self.radius, other.radius),
+                               _computed=True)
 
     __rmul__ = __mul__
 
@@ -293,10 +289,17 @@ def _termwise_lower(s: TruncatedSeries, number: Callable[[int], complex]) -> Tru
     if first > last:
         return TruncatedSeries(0, (0j,), label=s.label, radius=s.radius)
     kept = s.coeffs[first - s.min_deg:last - s.min_deg + 1]
-    # A zero stays zero; sieved inputs are mostly zeros, and number(d) may be costly.
-    coeffs = [number(d) * c if c else c for d, c in zip(range(first, last + 1), kept)]
-    return TruncatedSeries(first - 1, _finite(coeffs, first - 1), label=s.label,
-                           radius=s.radius)
+    return TruncatedSeries(first - 1, _lower_run(kept, first, 1, number), label=s.label,
+                           radius=s.radius, _computed=True)
+
+
+def _lower_run(run: Sequence[complex], first: int, step: int,
+               number: Callable[[int], complex]) -> list[complex]:
+    """number(d) a_d, one degree lower, for the run a_d at degrees d = first, first + step, ...
+    A zero stays itself (sieved runs are mostly zeros, and number(d) may be costly);
+    an overflow raises DomainError naming its lowered degree."""
+    degrees = range(first, first + step * len(run), step)
+    return _finite([number(d) * c if c else c for d, c in zip(degrees, run)], first - 1, step)
 
 
 def _weighted_sum(terms: Iterable[tuple[TruncatedSeries, complex | None]]) -> TruncatedSeries:
@@ -317,7 +320,7 @@ def _weighted_sum(terms: Iterable[tuple[TruncatedSeries, complex | None]]) -> Tr
             _finite(sums, s.min_deg)
         acc[i:j] = sums
         radius = min(radius, s.radius)
-    return TruncatedSeries(lo, _Coeffs(acc), radius=radius)
+    return TruncatedSeries(lo, acc, radius=radius, _computed=True)
 
 
 # -- constructors -------------------------------------------------------------
@@ -450,7 +453,11 @@ def max_coeff_diff(s: TruncatedSeries, t: TruncatedSeries,
 def coeff_residual(s: TruncatedSeries, t: TruncatedSeries,
                    lo: int | None = None, hi: int | None = None) -> float:
     """Max normalized coefficient gap |a-b| / max(1, |a|, |b|) over a window."""
-    a, b = _aligned(s, t, lo, hi)
+    return _run_residual(*_aligned(s, t, lo, hi))
+
+
+def _run_residual(a: Sequence[complex], b: Sequence[complex]) -> float:
+    """Max |x - y| / max(1, |x|, |y|) over the aligned runs a and b, to the shorter's end."""
     # Equal pairs (the zeros of sieved inputs, mostly) have gap exactly 0.
     return max((abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(a, b) if x != y),
                default=0.0)

@@ -36,6 +36,7 @@ from cyclofun.series import (
     DomainError,
     TruncatedSeries,
     _ipow,
+    _lower_run,
     _termwise_lower,
     coeff_residual,
     make_series,
@@ -793,14 +794,49 @@ def _ladder_chain(q, trunc):
     return out
 
 
-@pytest.mark.parametrize("q", [0.5, 2, 0.3 + 0.4j, -0.5])
+@pytest.mark.parametrize("q", [0.5, 2, 3, 1.5, -2, 0.3 + 0.4j, -0.5])
 def test_derivative_ladder_residuals_match_the_rebuilt_targets(q):
-    for trunc in (8, 64):
+    # The shortest even and odd windows, the default, and the psi-sequence cap.
+    for trunc in (8, 9, 64, 256):
         want = _ladder_chain(q, trunc)
         for seed in range(4):
             got = {r.identity: r.residual for r in qpsi_checks(q, seed, trunc)
                    if r.identity in want}
             assert got == want
+
+
+@pytest.mark.parametrize("q, top", [(-0.9999999989687168, 76), (-0.999999998363007, 78)])
+def test_a_ladder_target_that_overflows_raises_in_the_chains_order(q, top):
+    # Near q = -1 the weights reach 1e297: at n = 2, alpha = 2 the component 0 entry of degree
+    # top is finite and twice it is not.  The chain scales every component by alpha before its
+    # first step, so the odd window top + 1 names degree top too, not its own odd top.
+    assert all_pass(qpsi_checks(q, 0, top - 1))
+    for trunc in (top, top + 1):
+        with pytest.raises(DomainError, match=rf"^coefficient of degree {top} is not finite "
+                                              r"\(\(inf\+0j\)\)$"):
+            qpsi_checks(q, 0, trunc)
+
+
+def test_a_lowered_run_raises_where_the_chain_does_and_skips_its_zeros():
+    # No q overflows a ladder step inside qpsi_checks: each lowered entry is, up to rounding,
+    # a sieved entry of the next class or alpha times one, both checked before the first step.
+    # A table with inf at degrees 4 and 10 drives both routes; the degree-4 entry of the
+    # class 1 mod 3 run is zero, so only degree 10 overflows.
+    s = make_series((d, 0 if d == 4 else 2.0 ** -d) for d in range(17))
+    comp = laurent_component(s, make_context(3), alpha_root(2, 3), 1)
+    table = [float(d) for d in range(17)]
+    table[4] = table[10] = math.inf
+    with pytest.raises(DomainError) as chain:
+        _termwise_lower(comp, table.__getitem__)
+    with pytest.raises(DomainError) as run:
+        _lower_run(comp.coeffs[1::3], 1, 3, table.__getitem__)
+    assert str(run.value) == str(chain.value)
+    assert str(run.value).startswith("coefficient of degree 9 is not finite")
+    # A run that starts at degree 0 lowers from degree 3 once that term has died.
+    table[4] = 4.0
+    comp = laurent_component(s, make_context(3), alpha_root(2, 3), 0)
+    want = _termwise_lower(comp, table.__getitem__).coeffs
+    assert tuple(_lower_run(comp.coeffs[0::3][1:], 3, 3, table.__getitem__)) == want[2::3]
 
 
 def test_qpsi_battery_sieves_its_exponential_once(monkeypatch):
