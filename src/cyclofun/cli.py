@@ -22,9 +22,10 @@ from .demoivre import (DET_TOLERANCE, circulant_checks, circulant_det_direct,
                        demoivre_sweep)
 from .hyperbolic import build_family, g_eval, h_eval, laurent_component
 from .qpsi import PsiSequence, build_psi_hyperbolic, qpsi_checks, series_exp_psi
-from .reports import all_pass, relative_residual, reports_to_csv, reports_to_json
+from .reports import (_report_lines, all_pass, relative_residual, reports_to_csv,
+                      reports_to_json)
 from .series import (DEFAULT_TRUNCATION, DomainError, TruncatedSeries, _aligned,
-                     _ipow, _pair, coeff_close, max_coeff_diff, series_exp,
+                     _fmt, _ipow, _pair, coeff_close, max_coeff_diff, series_exp,
                      series_from_json, series_geometric, series_to_json)
 
 __all__ = ["main", "main_entry", "parse_complex"]
@@ -53,10 +54,6 @@ def parse_complex(text: str) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise _ComplexLiteralError(f"complex literal {text!r} is not finite")
     return value
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _fmt_complex(c: complex) -> str:
@@ -274,14 +271,7 @@ def _cmd_verify(args) -> int:
     elif args.format == "csv":
         out = reports_to_csv(reports).splitlines()
     else:
-        out = []
-        for r in reports:
-            mark = "PASS" if r.passed else "FAIL"
-            rel = "<=" if r.expect == "le" else ">"
-            out.append(f"[{mark}] {r.identity}: residual {_fmt(r.residual)} "
-                       f"(want {rel} {_fmt(r.tolerance)})")
-        npass = sum(1 for r in reports if r.passed)
-        out.append(f"{npass}/{len(reports)} checks passed")
+        out = _report_lines(reports)
     _emit(args, out)
     return 0 if all_pass(reports) else 1
 

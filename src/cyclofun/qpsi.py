@@ -241,11 +241,11 @@ def series_exp_psi(ps: PsiSequence, trunc: int = DEFAULT_TRUNCATION) -> Truncate
     _check_truncation(trunc)
     if trunc > ps.cap:
         raise ValueError(f"truncation {trunc} exceeds the sequence cap {ps.cap}")
-    coeffs = ps._weights[:trunc + 1]
+    coeffs = tuple(map(complex, ps._weights[:trunc + 1]))
     # Explicit weights were checked as input; 1/[k]_q! overflows where [k]_q! underflowed.
-    for k, w in enumerate(coeffs):
-        if not cmath.isfinite(w):
-            raise DomainError(f"coefficient of degree {k} is not finite ({complex(w)!r}): "
+    for k, c in enumerate(coeffs):
+        if not cmath.isfinite(c):
+            raise DomainError(f"coefficient of degree {k} is not finite ({c!r}): "
                               f"the weight 1/[{k}]_q! overflows at q = {ps.q!r}")
     bound = ENTIRE_MAX_ABS_ARG
     if ps.kind == "q" and abs(ps.q) < 1:
@@ -254,7 +254,7 @@ def series_exp_psi(ps: PsiSequence, trunc: int = DEFAULT_TRUNCATION) -> Truncate
         tail = coeffs[-1]
         if tail != 0 and len(coeffs) > 1:
             bound = min(ENTIRE_MAX_ABS_ARG, 0.9 * abs(coeffs[-2] / tail))
-    return TruncatedSeries(0, coeffs, label="exp_psi", radius=bound)
+    return TruncatedSeries(0, coeffs, label="exp_psi", radius=bound, _computed=True)
 
 
 def build_psi_hyperbolic(ps: PsiSequence, ctx: CyclicContext, a: AlphaRoot,

@@ -1,12 +1,11 @@
-"""Pass/fail records for numerical identity checks."""
+"""Pass/fail records for numerical identity checks, and their text, JSON and CSV views."""
 
 from __future__ import annotations
 
 import cmath
-import io
 from collections.abc import Iterable
 
-from .series import _pair
+from .series import _fmt, _pair
 
 __all__ = ["IdentityReport", "relative_residual", "all_pass", "reports_to_json",
            "reports_to_csv"]
@@ -83,19 +82,24 @@ def reports_to_json(reports: Iterable[IdentityReport]) -> list[dict]:
 
 
 def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
-    """Delimited view with the fixed column set used by the CLI."""
-    import csv  # deferred: only --format csv writes one
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["identity", "n", "alpha_re", "alpha_im", "residual", "pass"])
+    """One CSV line per report; no field needs quoting, as an identity is a lowercase name."""
+    lines = ["identity,n,alpha_re,alpha_im,residual,pass"]
     for r in reports:
-        n = r.params.get("n", "")
-        alpha = r.params.get("alpha", "")
-        if isinstance(alpha, complex):
-            a_re, a_im = f"{alpha.real:.17g}", f"{alpha.imag:.17g}"
-        else:
-            a_re, a_im = "", ""
-        writer.writerow([r.identity, n, a_re, a_im,
-                         f"{r.residual:.17g}", "true" if r.passed else "false"])
-    return buf.getvalue()
+        alpha = r.params.get("alpha")
+        a = f"{_fmt(alpha.real)},{_fmt(alpha.imag)}" if isinstance(alpha, complex) else ","
+        lines.append(f"{r.identity},{r.params.get('n', '')},{a},{_fmt(r.residual)},"
+                     f"{'true' if r.passed else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+def _report_lines(reports: list[IdentityReport]) -> list[str]:
+    """The text view: one [PASS] or [FAIL] line per report, then the count that passed."""
+    out = []
+    for r in reports:
+        mark = "PASS" if r.passed else "FAIL"
+        rel = "<=" if r.expect == "le" else ">"
+        out.append(f"[{mark}] {r.identity}: residual {_fmt(r.residual)} "
+                   f"(want {rel} {_fmt(r.tolerance)})")
+    npass = sum(1 for r in reports if r.passed)
+    out.append(f"{npass}/{len(reports)} checks passed")
+    return out

@@ -106,10 +106,10 @@ def _scaled_radius(radius: float, factor: complex, before, after) -> float:
 class TruncatedSeries:
     """Finite window of Laurent coefficients a_k for k in [min_deg, max_deg].
 
-    Evaluation is restricted to the closed disk |z| <= radius.  Input
-    coefficients are converted to complex and checked once, here; the operations
-    pass their results in as already checked, with _computed.  The internal stride
-    (n, k) of a sieve says every nonzero degree is k mod n; all else has (1, 0).
+    Evaluation is restricted to the closed disk |z| <= radius.  Coefficients from outside
+    (a direct call, Polynomial, series_from_json) are converted to complex and checked here;
+    values computed or checked before come in with _computed, as complex and finite.
+    The internal stride (n, k) of a sieve says every nonzero degree is k mod n; else (1, 0).
     """
 
     __slots__ = ("min_deg", "max_deg", "coeffs", "label", "radius", "_stride")
@@ -222,9 +222,9 @@ class TruncatedSeries:
     def _coerce(self, other) -> "TruncatedSeries | None":
         if isinstance(other, TruncatedSeries):
             return other
-        if isinstance(other, (int, float, complex)):
-            # A constant is entire.
-            return TruncatedSeries(0, (_checked(other, "constant"),), radius=math.inf)
+        if isinstance(other, (int, float, complex)):  # a constant is entire
+            return TruncatedSeries(0, (_checked(other, "constant"),), radius=math.inf,
+                                   _computed=True)
         return None
 
     def __add__(self, other) -> "TruncatedSeries":
@@ -287,7 +287,7 @@ def _termwise_lower(s: TruncatedSeries, number: Callable[[int], complex]) -> Tru
     first = 1 if s.min_deg == 0 else s.min_deg
     last = -1 if s.max_deg == 0 else s.max_deg
     if first > last:
-        return TruncatedSeries(0, (0j,), label=s.label, radius=s.radius)
+        return TruncatedSeries(0, (0j,), label=s.label, radius=s.radius, _computed=True)
     kept = s.coeffs[first - s.min_deg:last - s.min_deg + 1]
     return TruncatedSeries(first - 1, _lower_run(kept, first, 1, number), label=s.label,
                            radius=s.radius, _computed=True)
@@ -342,7 +342,7 @@ def make_series(terms: Iterable[tuple[int, complex]],
         raise ValueError("no terms supplied")
     lo, hi = min(seen), max(seen)
     coeffs = tuple(seen.get(d, 0j) for d in range(lo, hi + 1))
-    return TruncatedSeries(lo, coeffs, label=label)
+    return TruncatedSeries(lo, coeffs, label=label, _computed=True)
 
 
 def series_exp(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -359,17 +359,22 @@ def series_exp(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
             break
         coeffs.append(c + 0j)
     coeffs += [0j] * (trunc + 1 - len(coeffs))
-    return TruncatedSeries(0, coeffs, label="exp")
+    return TruncatedSeries(0, coeffs, label="exp", _computed=True)
 
 
 def series_geometric(trunc: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """The geometric series sum z^k (that is, 1/(1-z)) truncated at trunc."""
     _check_truncation(trunc)
     return TruncatedSeries(0, (1 + 0j,) * (trunc + 1), label="geometric",
-                           radius=GEOMETRIC_MAX_ABS_ARG)
+                           radius=GEOMETRIC_MAX_ABS_ARG, _computed=True)
 
 
-# -- serialization ------------------------------------------------------------
+# -- serialization: numbers as text or [re, im], series as JSON ---------------
+
+def _fmt(x: float) -> str:
+    """The text form of a real number: 17 significant digits, enough to read it back."""
+    return f"{float(x):.17g}"
+
 
 def _pair(c: complex) -> list[float]:
     """The JSON form of a complex number: an [re, im] pair."""

@@ -2,8 +2,10 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -508,6 +510,35 @@ def test_verify_csv_header(capsys):
                            "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "identity,n,alpha_re,alpha_im,residual,pass"
+
+
+CSV_COMMANDS = [
+    *[["verify", "--suite", suite, "--seed", str(seed)]
+      for suite in ("demoivre", "circulant", "qpsi", "all") for seed in range(4)],
+    *[argv for builtin in ("exp", "geometric", "expq") for argv in (
+        ["decompose", "--builtin", builtin, "--n", "3", "--alpha", "2+1i", "--trunc", "12"],
+        ["eval", "--builtin", builtin, "--n", "3", "--s", "1", "--z", "0.3-0.2i",
+         "--method", "both"],
+        ["det", "--builtin", builtin, "--n", "3", "--alpha", "-2", "--z", "0.3"])],
+]
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=" ".join)
+def test_csv_lines_are_what_a_csv_writer_writes(capsys, argv):
+    # The CLI joins its CSV fields by hand, so no field may need quoting.
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    header, *rows = lines = out.splitlines()
+    assert rows and out == "\n".join(lines) + "\n"
+    width = len(header.split(","))
+    for line in lines:
+        fields = next(csv.reader([line]))
+        assert fields == line.split(",") and len(fields) == width, line
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(fields)
+        assert buf.getvalue() == line + "\n"
+    if argv[0] == "verify":
+        assert all(re.fullmatch(r"[a-z][a-z0-9_]*", row.split(",")[0]) for row in rows)
 
 
 def test_det_csv_row(capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 
 import mpmath
@@ -19,6 +20,7 @@ from cyclofun.qpsi import (
     jackson_derivative,
     lowering_operator_apply,
     psi_derivative,
+    series_exp_psi,
 )
 from cyclofun.series import (
     PRODUCT_DEGREE_CAP,
@@ -74,6 +76,25 @@ def test_constructor_converts_input_and_keeps_checked_coefficients():
         assert all(type(c) is complex for c in s.coeffs)
     s = series_exp(6)
     assert s.with_label("relabelled").coeffs is s.coeffs
+    # Values the package computed or checked itself skip the constructor's check,
+    # so each builder must hand over complex values, as the checked path keeps them.
+    psi_kinds = (PsiSequence.q_deformation(0.5), PsiSequence.q_deformation(0.3 + 0.4j),
+                 PsiSequence.classical(), PsiSequence.from_weights([1, 0.5, 0.25j, 2]))
+    built = [series_exp(12), series_geometric(5),
+             make_series([(-1, 2), (1, 0.5), (2, 1 - 2j)]), make_series([(0, 1)]) + 1,
+             make_series([(0, 3)]).derivative(), *(series_exp_psi(ps, 3) for ps in psi_kinds)]
+    for t in built:
+        assert all(type(c) is complex for c in t.coeffs), t
+        assert t.coeffs == TruncatedSeries(t.min_deg, list(t.coeffs)).coeffs, t
+    # Each skipped check is made once, where the value is first taken or computed.
+    with pytest.raises(ValueError, match=r"^coefficient of degree 2 must be finite, got nan$"):
+        make_series([(0, 1), (2, math.nan)])
+    with pytest.raises(ValueError, match=r"^constant must be finite, got inf$"):
+        series_exp(4) + math.inf
+    with pytest.raises(DomainError, match=re.escape(
+            "coefficient of degree 80 is not finite ((inf+0j)): the weight 1/[80]_q! "
+            "overflows at q = -0.999999999")):
+        series_exp_psi(PsiSequence.q_deformation(-0.999999999), 80)
 
 
 def test_operations_construct_through_the_one_constructor(monkeypatch):

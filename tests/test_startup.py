@@ -1,5 +1,6 @@
 """Start-up: the package imports without numpy, dataclasses, inspect, json
-or csv, and commands that only sieve coefficients run without numpy."""
+or csv, commands that only sieve coefficients run without numpy, and no
+command loads csv."""
 
 import contextlib
 import io
@@ -26,7 +27,8 @@ json.dump(results, sys.stdout)
 
 # Runs --help, a text decompose and a series eval through cli.main, then prints
 # the top-level modules they added to sys.modules; then runs one --format json
-# eval and prints whether json is loaded.
+# eval and prints whether json is loaded; then one --format csv verify, and
+# prints whether csv is loaded.
 ADDED_CHILD = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -39,6 +41,9 @@ print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before}
 with contextlib.redirect_stdout(io.StringIO()):
     main(["eval", "--builtin", "exp", "--n", "3", "--z", "0.5", "--format", "json"])
 print("json" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify", "--suite", "circulant", "--format", "csv"])
+print("csv" in sys.modules)
 """
 
 
@@ -84,11 +89,13 @@ def test_commands_that_read_no_file_and_write_text_load_only_what_they_run():
     proc = subprocess.run([sys.executable, "-c", ADDED_CHILD],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    added, json_loaded = proc.stdout.splitlines()
+    added, json_loaded, csv_loaded = proc.stdout.splitlines()
     assert "cyclofun" in added.split()
     assert not set(added.split()) & {"numpy", "dataclasses", "inspect", "json", "csv"}, added
     # The import was deferred, not lost: --format json loads it.
     assert json_loaded == "True"
+    # The CSV lines are joined by hand: even --format csv loads no csv.
+    assert csv_loaded == "False"
 
 
 def test_sieve_commands_run_byte_identical_without_numpy(tmp_path):
