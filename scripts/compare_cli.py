@@ -64,7 +64,9 @@ def _commands() -> list[list[str]]:
                  ["decompose", "--input", SERIES_FILE, "--n", "3", "--alpha=2+1i",
                   "--format", fmt],
                  ["eval", "--input", SERIES_FILE, "--n", "2", "--s", "1", "--z", "0.3+0.2i",
-                  "--method", "series", "--format", fmt]]
+                  "--method", "series", "--format", fmt],
+                 # A passing --components run, whose values have negative imaginary parts.
+                 ["det", "--components", "1,2+1i", "--n", "2", "--alpha=2+1i", "--format", fmt]]
     cmds += [["--help"]] + [[cmd, "--help"] for cmd in ("decompose", "eval", "verify", "det")]
     # The exit-2 and exit-4 commands of tests/test_cli.py that need no input file.
     cmds += [

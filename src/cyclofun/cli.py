@@ -24,8 +24,8 @@ from .hyperbolic import build_family, g_eval, h_eval, laurent_component
 from .qpsi import PsiSequence, build_psi_hyperbolic, qpsi_checks, series_exp_psi
 from .reports import (_report_lines, all_pass, relative_residual, reports_to_csv,
                       reports_to_json)
-from .series import (DEFAULT_TRUNCATION, DomainError, TruncatedSeries, _aligned,
-                     _fmt, _ipow, _pair, coeff_close, max_coeff_diff, series_exp,
+from .series import (DEFAULT_TRUNCATION, DomainError, TruncatedSeries, _aligned, _csv_line,
+                     _fmt, _fmt_complex, _ipow, _pair, coeff_close, max_coeff_diff, series_exp,
                      series_from_json, series_geometric, series_to_json)
 
 __all__ = ["main", "main_entry", "parse_complex"]
@@ -56,19 +56,12 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _fmt_complex(c: complex) -> str:
-    c = complex(c)
-    if c.imag == 0:
-        return _fmt(c.real)
-    return f"{_fmt(c.real)}{c.imag:+.17g}i"
-
-
 def _emit(args, out) -> None:
-    """Write out by --format: a JSON value with indent 2, else lines; then one newline."""
+    """Write out by --format: JSON, indent 2, complex as [re, im]; else lines. Then one newline."""
     if args.format == "json":
         import json  # deferred, like numpy: only --format json and --input load it
 
-        out = [json.dumps(out, indent=2)]
+        out = [json.dumps(out, indent=2, default=_pair)]
     text = "\n".join(out) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -129,13 +122,13 @@ def _provenance(args) -> dict:
     if args.input:
         return {"input": args.input}
     if args.builtin == "expq":
-        return {"builtin": "expq", "q": _pair(args.q)}
+        return {"builtin": "expq", "q": args.q}
     return {"builtin": args.builtin or "exp"}
 
 
 def _family_head(args, a: AlphaRoot, **provenance) -> dict:
-    """The JSON head: the provenance given, then n, alpha as [re, im], branch."""
-    return {**provenance, "n": args.n, "alpha": _pair(a.alpha), "branch": a.branch}
+    """The JSON head: the provenance given, then n, alpha, branch."""
+    return {**provenance, "n": args.n, "alpha": a.alpha, "branch": a.branch}
 
 
 def _family_text(args, a: AlphaRoot) -> str:
@@ -170,7 +163,7 @@ def _cmd_decompose(args) -> int:
     if args.format == "json":
         out = {
             **_family_head(args, a, **_provenance(args)),
-            "root": _pair(a.root),
+            "root": a.root,
             "components": [series_to_json(c) for c in comps],
             "verified": True,
         }
@@ -179,7 +172,7 @@ def _cmd_decompose(args) -> int:
         for k, c in enumerate(comps):
             for d, v in zip(c.degrees(), c.coeffs):
                 if v != 0:
-                    out.append(f"{k},{d},{_fmt(v.real)},{_fmt(v.imag)}")
+                    out.append(_csv_line(k, d, v))
     else:
         src, *_ = _provenance(args).values()
         out = [f"decomposition of {src}: {_family_text(args, a)} root={_fmt_complex(a.root)}"]
@@ -224,17 +217,14 @@ def _cmd_eval(args) -> int:
         out = {
             **_family_head(args, a, **_provenance(args)),
             "s": s,
-            "z": _pair(args.z),
-            "values": {k: _pair(v) for k, v in values.items()},
+            "z": args.z,
+            "values": values,
         }
         if diff is not None:
             out["difference"] = diff
     elif args.format == "csv":
         out = ["method,s,n,z_re,z_im,value_re,value_im"]
-        for k, v in values.items():
-            out.append(f"{k},{s},{args.n},"
-                       f"{_fmt(args.z.real)},{_fmt(args.z.imag)},"
-                       f"{_fmt(v.real)},{_fmt(v.imag)}")
+        out += [_csv_line(k, s, args.n, args.z, v) for k, v in values.items()]
     else:
         src, *_ = _provenance(args).values()
         out = [f"component {s} of {src}: {_family_text(args, a)} z={_fmt_complex(args.z)}"]
@@ -307,9 +297,9 @@ def _cmd_det(args) -> int:
     if args.format == "json":
         out = {
             **_family_head(args, a),
-            "components": [_pair(v) for v in vals],
-            "det_spectral": _pair(spectral),
-            "det_direct": _pair(direct),
+            "components": vals,
+            "det_spectral": spectral,
+            "det_direct": direct,
             "difference": diff,
             "tolerance": tol,
             "pass": ok,
@@ -317,10 +307,7 @@ def _cmd_det(args) -> int:
     elif args.format == "csv":
         out = ["n,alpha_re,alpha_im,det_spectral_re,det_spectral_im,"
                "det_direct_re,det_direct_im,difference,pass",
-               f"{args.n},{_fmt(a.alpha.real)},{_fmt(a.alpha.imag)},"
-               f"{_fmt(spectral.real)},{_fmt(spectral.imag)},"
-               f"{_fmt(direct.real)},{_fmt(direct.imag)},"
-               f"{_fmt(diff)},{'true' if ok else 'false'}"]
+               _csv_line(args.n, a.alpha, spectral, direct, diff, ok)]
     else:
         out = [
             f"twisted circulant determinant: {_family_text(args, a)}",

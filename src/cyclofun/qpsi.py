@@ -75,7 +75,7 @@ def q_number(q, k: int):
             value = -(q ** k) * q_number(q, -k)
         except OverflowError:  # an int q's exact [m]_q past double range, or q**k
             value = math.nan
-        return value if value == value else -q_number(1 / q, -k) / q
+        return value if cmath.isfinite(value) else -q_number(1 / q, -k) / q
     return _q_table(q, k)[k]
 
 
@@ -359,7 +359,7 @@ def verify_psi_binomial(family: Sequence[TruncatedSeries], ps: PsiSequence,
         rhs = 0j
         for k in range(n + 1):
             rhs += ps.binomial(n, k) * px[k] * py[n - k]
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        worst = max(worst, _run_residual((lhs,), (rhs,)))
     return worst
 
 

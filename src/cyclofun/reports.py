@@ -5,21 +5,10 @@ from __future__ import annotations
 import cmath
 from collections.abc import Iterable
 
-from .series import _fmt, _pair
+from .series import _csv_line, _fmt, _pair
 
 __all__ = ["IdentityReport", "relative_residual", "all_pass", "reports_to_json",
            "reports_to_csv"]
-
-
-def _plain(value):
-    """Rewrite params into JSON-friendly primitives (complex -> [re, im])."""
-    if isinstance(value, complex):
-        return _pair(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
 
 
 def relative_residual(value: complex, ref: complex) -> float:
@@ -65,7 +54,8 @@ class IdentityReport:
     def to_dict(self) -> dict:
         return {
             "identity": self.identity,
-            "params": _plain(self.params),
+            "params": {k: _pair(v) if isinstance(v, complex) else v
+                       for k, v in self.params.items()},
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
@@ -86,9 +76,8 @@ def reports_to_csv(reports: Iterable[IdentityReport]) -> str:
     lines = ["identity,n,alpha_re,alpha_im,residual,pass"]
     for r in reports:
         alpha = r.params.get("alpha")
-        a = f"{_fmt(alpha.real)},{_fmt(alpha.imag)}" if isinstance(alpha, complex) else ","
-        lines.append(f"{r.identity},{r.params.get('n', '')},{a},{_fmt(r.residual)},"
-                     f"{'true' if r.passed else 'false'}")
+        re_im = (alpha,) if isinstance(alpha, complex) else ("", "")
+        lines.append(_csv_line(r.identity, r.params.get("n", ""), *re_im, r.residual, r.passed))
     return "\n".join(lines) + "\n"
 
 

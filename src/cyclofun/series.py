@@ -376,10 +376,33 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _fmt_complex(c: complex) -> str:
+    """The text form of a complex number: re alone when im is zero, else re+imi or re-imi."""
+    c = complex(c)
+    if c.imag == 0:
+        return _fmt(c.real)
+    im = _fmt(c.imag)
+    return f"{_fmt(c.real)}{'' if im[0] == '-' else '+'}{im}i"
+
+
 def _pair(c: complex) -> list[float]:
     """The JSON form of a complex number: an [re, im] pair."""
     c = complex(c)
     return [c.real, c.imag]
+
+
+def _csv_line(*cells) -> str:
+    """One CSV line, unquoted: a complex cell is two fields (re, im), a bool is true or
+    false, a float its _fmt text, anything else its str.  No field may hold a comma."""
+    fields = []
+    for c in cells:
+        if isinstance(c, complex):
+            fields += (_fmt(c.real), _fmt(c.imag))
+        elif isinstance(c, bool):
+            fields.append("true" if c else "false")
+        else:
+            fields.append(_fmt(c) if isinstance(c, float) else str(c))
+    return ",".join(fields)
 
 
 def _unpair(entry, what: str) -> complex:

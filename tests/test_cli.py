@@ -855,6 +855,14 @@ def test_a_command_name_as_an_option_value_parses(tmp_path, capsys, monkeypatch)
     assert out.endswith("re-verification: ok\n")
 
 
+def test_main_entry_exits_with_the_code_of_main(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["cyclofun", "det", "--components", "1,2", "--n", "3"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main_entry()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: expected 3 components for n=3, got 2\n"
+
+
 def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["cyclofun", "det", "--components", "2,1", "--n", "2"])
     assert main() == 0

@@ -42,6 +42,7 @@ def test_omega_tables():
         for k, w in enumerate(ctx.omega_pow):
             assert abs(abs(w) - 1) < 1e-15
             assert abs(w - cmath.exp(2j * math.pi * k / n)) < 1e-15
+    assert repr(c4) == "CyclicContext(n=4)"
 
 
 def test_character_orthogonality():

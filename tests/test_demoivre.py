@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import json
 import math
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import cyclofun.demoivre as demoivre
+from cyclofun.cli import SWEEP_DRAWS
 from cyclofun.cyclic import alpha_root, make_context, project_series
 from cyclofun.demoivre import (
     TAYLOR_TAIL_BOUND,
@@ -26,6 +28,7 @@ from cyclofun.demoivre import (
     sylvester_matrix,
 )
 from cyclofun.hyperbolic import build_family, h_eval, laurent_component
+from cyclofun.qpsi import qpsi_checks
 from cyclofun.reports import (
     IdentityReport,
     all_pass,
@@ -538,6 +541,23 @@ def test_report_serialization_shapes():
     assert lines[1].startswith("check,2,1,0,")
     with pytest.raises(ValueError):
         IdentityReport("x", {}, 0.0, 0.0, "maybe")
+
+
+def test_every_battery_report_is_json_ready_without_a_default():
+    # to_dict converts a complex param one level deep; a complex value nested in a
+    # list or dict would reach json.dumps as it is and raise TypeError here.
+    reports = []
+    for seed in range(4):  # verify --suite all
+        reports += demoivre_sweep(3, alpha_root(1, 3), SWEEP_DRAWS, seed)
+        reports += circulant_checks(seed=seed)
+        reports += qpsi_checks(0.5, seed)
+    for q in (2, 3, 1.5, -2, 0.3 + 0.4j, -0.5):
+        reports += qpsi_checks(q, 0)
+    for n, alpha in ((2, -1), (3, 1), (8, 2 + 1j)):
+        reports += demoivre_sweep(n, alpha_root(alpha, n), SWEEP_DRAWS, 0)
+    data = json.loads(json.dumps(reports_to_json(reports)))
+    assert [d["identity"] for d in data] == [r.identity for r in reports]
+    assert data[0]["params"]["alpha"] == [1.0, 0.0]
 
 
 def test_identity_report_keeps_the_dataclass_repr_and_validation():

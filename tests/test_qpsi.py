@@ -96,6 +96,19 @@ def test_negative_degree_q_numbers_stay_finite_where_the_power_underflows():
     assert d.coeff(-41) == q_number(-1e10, -40)
     assert abs(d.coeff(-41) - 1e-10) <= 1e-19
     assert jackson_derivative(make_series([(-1100, 1)]), 2).coeff(-1101) == -1.0
+    # q**-m subnormal and [m]_q past double range: the product is an infinity,
+    # not nan, and the reciprocal form -(1 - q**-m)/(q - 1) is finite.
+    with mpmath.workdps(60):
+        for q, m in ((2.0, 1028), (-2.0, 1028), (1.5, 1749), (3.0, 650), (10.0, 310),
+                     (1.01, 70874), (1.5 + 0.1j, 1749), (-2 + 0.5j, 1000)):
+            qq = mpmath.mpmathify(q)
+            want = complex(-(1 - qq ** -m) / (qq - 1))
+            got = q_number(q, -m)
+            assert abs(got - want) <= 1e-14 * abs(want), (q, m, got)
+    assert jackson_derivative(make_series([(-1030, 1)]), 2.0).coeff(-1031) == -1.0
+    # A genuine overflow stays one: the reciprocal form overflows too.
+    for q in (0.5, 0.5 + 0.1j):
+        assert not cmath.isfinite(q_number(q, -2000))
 
 
 def test_deformed_integer_near_unit_has_no_cancellation():
@@ -169,6 +182,12 @@ def test_number_beyond_cap_rejected():
             index(-1)
     with pytest.raises(ValueError, match="outside the sequence cap"):
         ps.binomial(PSI_CAP + 1, 4)
+
+
+def test_sequence_repr_names_q_or_the_kind():
+    assert repr(PsiSequence.q_deformation(0.5)) == "PsiSequence(q=0.5, cap=256)"
+    assert repr(PsiSequence.classical()) == "PsiSequence(classical, cap=256)"
+    assert repr(PsiSequence.from_weights([1, 2, 3])) == "PsiSequence(explicit, cap=2)"
 
 
 def test_sequence_kind_and_cap_rejected():

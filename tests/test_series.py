@@ -26,6 +26,10 @@ from cyclofun.series import (
     PRODUCT_DEGREE_CAP,
     DomainError,
     TruncatedSeries,
+    _csv_line,
+    _fmt,
+    _fmt_complex,
+    _ipow,
     coeff_close,
     coeff_residual,
     make_series,
@@ -67,6 +71,38 @@ def test_nonfinite_coefficient_rejected():
             assert type(info.value) is ValueError
     with pytest.raises(ValueError, match="malformed"):
         TruncatedSeries(0, [1, "one"])
+
+
+def test_an_empty_window_and_zero_to_a_negative_power_are_refused():
+    with pytest.raises(ValueError, match="^a series needs at least one coefficient$"):
+        TruncatedSeries(0, [])
+    with pytest.raises(ZeroDivisionError, match="^zero cannot be raised to a negative power$"):
+        _ipow(0, -1)
+
+
+def test_repr_names_the_window_and_the_label():
+    assert repr(make_series([(-1, 1), (2, 3)])) == "TruncatedSeries(window=[-1, 2], 4 coeffs)"
+    assert (repr(TruncatedSeries(0, [1, 2], label="exp"))
+            == "TruncatedSeries(window=[0, 1], 2 coeffs 'exp')")
+
+
+def test_complex_text_is_the_signed_imaginary_form_it_replaced():
+    # The sign comes from _fmt's text of the imaginary part, as +.17g gave it.
+    tiny, big = 5e-324, sys.float_info.max
+    parts = (0.0, -0.0, 1.0, -1.0, 0.1, -2.5e-7, 1 / 3, tiny, -tiny, sys.float_info.min,
+             -sys.float_info.min, 1e-300, big, -big, 1e300, -1e16)
+    for re_part in parts:
+        for im_part in parts:
+            c = complex(re_part, im_part)
+            want = _fmt(c.real) if c.imag == 0 else f"{_fmt(c.real)}{c.imag:+.17g}i"
+            assert _fmt_complex(c) == want, c
+    assert _fmt_complex(2) == "2" and _fmt_complex(-0.5) == "-0.5"
+
+
+def test_csv_line_splits_a_complex_cell_and_spells_a_bool():
+    assert (_csv_line("exp", 3, 0.1 - 2j, -0.5, True, False, 1e-20, "")
+            == "exp,3,0.10000000000000001,-2,-0.5,true,false,9.9999999999999995e-21,")
+    assert _csv_line() == ""
 
 
 def test_constructor_converts_input_and_keeps_checked_coefficients():
